@@ -38,11 +38,6 @@ def _open_out(stack: ExitStack, path: str):
     return stack.enter_context(open(path, "w", encoding="utf-8"))
 
 
-def _read_input(stack: ExitStack, path: str, reader):
-    with open(path, encoding="utf-8") as f:
-        return reader(f)
-
-
 def cmd_fit_null(args: argparse.Namespace) -> int:
     profiles: list = []
     with open(args.estimates, encoding="utf-8") as f:

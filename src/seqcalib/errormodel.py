@@ -12,7 +12,7 @@ each profile's likelihood.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,7 +23,8 @@ from .likelihood import (
     GridProfile,
     LikelihoodProfile,
     NormalApprox,
-    UninformativeProfileError,
+    PoissonCounts,
+    count_log_likelihood,
     mle_and_se,
 )
 
@@ -39,6 +40,7 @@ __all__ = [
 GH_POINTS = 64
 _GH_X, _GH_W = np.polynomial.hermite.hermgauss(GH_POINTS)
 _GH_LOGW = np.log(_GH_W)
+_GH_LOG_KERNEL = _GH_X**2 + _GH_LOGW
 _SIGMA_EPS = 1e-6
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -75,47 +77,105 @@ class ErrorModel:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """Profiles rearranged for fast repeated objective evaluations."""
+    """Usable profiles stacked into column arrays, one row per profile.
+
+    Rows run normal approximations first, then file grids, Poisson counts
+    and binomial counts; `position` maps each row to the profile's index in
+    the input. `mode` and `width`, the grid MLE and SE of every row after
+    the normal ones, place that row's quadrature nodes.
+    """
 
     norm_beta: np.ndarray
     norm_var: np.ndarray
     grid_x: tuple[np.ndarray, ...]
     grid_ll: tuple[np.ndarray, ...]
-    grid_mode: np.ndarray
-    grid_width: np.ndarray
+    poisson: np.ndarray  # columns: observed, expected, offset
+    binomial: np.ndarray  # columns: exposed, null proportion, offset, total
+    mode: np.ndarray
+    width: np.ndarray
+    position: np.ndarray
+    n_excluded: int
 
     @property
     def n_profiles(self) -> int:
-        return self.norm_beta.size + len(self.grid_x)
+        return self.position.size
+
+    def without(self, index: int) -> _Prepared:
+        """The same rows without the input profile at `index`."""
+        if index not in self.position:  # an excluded profile
+            return replace(self, n_excluded=self.n_excluded - 1)
+        keep = self.position != index
+        a = self.norm_beta.size
+        b = a + len(self.grid_x)
+        c = b + len(self.poisson)
+        return _Prepared(
+            self.norm_beta[keep[:a]],
+            self.norm_var[keep[:a]],
+            tuple(x for x, k in zip(self.grid_x, keep[a:b]) if k),
+            tuple(ll for ll, k in zip(self.grid_ll, keep[a:b]) if k),
+            self.poisson[keep[b:c]],
+            self.binomial[keep[c:]],
+            self.mode[keep[a:]],
+            self.width[keep[a:]],
+            self.position[keep],
+            self.n_excluded,
+        )
 
 
 def _prepare(profiles: Sequence[LikelihoodProfile]) -> _Prepared:
-    betas: list[float] = []
-    variances: list[float] = []
-    grid_x: list[np.ndarray] = []
-    grid_ll: list[np.ndarray] = []
-    modes: list[float] = []
-    widths: list[float] = []
-    for pr in profiles:
+    """Stack the profiles, dropping and counting grids without a usable maximum."""
+    # rows are (input index, mode or estimate, width or variance, payload)
+    normal: list[tuple] = []
+    grids: list[tuple] = []
+    poisson: list[tuple] = []
+    binomial: list[tuple] = []
+    excluded = 0
+    for index, pr in enumerate(profiles):
         if isinstance(pr, NormalApprox):
-            betas.append(pr.point_estimate)
-            variances.append(pr.standard_error**2)
-        elif isinstance(pr, GridProfile):
-            mode, width = mle_and_se(pr)
-            grid_x.append(pr.grid_points)
-            grid_ll.append(pr.log_likelihoods)
-            modes.append(mode)
-            widths.append(width)
-        else:
+            normal.append((index, pr.point_estimate, pr.standard_error**2))
+            continue
+        if not isinstance(pr, GridProfile):
             raise TypeError(f"unsupported profile: {type(pr).__name__}")
+        try:
+            mode, width = mle_and_se(pr)
+        except CurvatureError:
+            excluded += 1
+            continue
+        c = pr.counts
+        if c is None:
+            grids.append((index, mode, width, pr))
+        elif isinstance(c, PoissonCounts):
+            poisson.append((index, mode, width, (c.observed, c.expected, c.offset)))
+        else:
+            binomial.append(
+                (index, mode, width, (c.exposed, c.null_proportion, c.offset, c.total))
+            )
+    rows = grids + poisson + binomial
     return _Prepared(
-        np.asarray(betas),
-        np.asarray(variances),
-        tuple(grid_x),
-        tuple(grid_ll),
-        np.asarray(modes),
-        np.asarray(widths),
+        np.array([r[1] for r in normal]),
+        np.array([r[2] for r in normal]),
+        tuple(r[3].grid_points for r in grids),
+        tuple(r[3].log_likelihoods for r in grids),
+        np.array([r[3] for r in poisson]).reshape(-1, 3),
+        np.array([r[3] for r in binomial]).reshape(-1, 4),
+        np.array([r[1] for r in rows]),
+        np.array([r[2] for r in rows]),
+        np.array([r[0] for r in normal + rows], dtype=int),
+        excluded,
     )
+
+
+def _count_log_likelihoods(prep: _Prepared, beta: np.ndarray, *, out: np.ndarray) -> None:
+    """Write the exact log-likelihood of each count row at its row of beta into out.
+
+    beta and out have one row per row of prep.mode; file-grid rows are left alone.
+    """
+    g = len(prep.grid_x)
+    p = g + len(prep.poisson)
+    if len(prep.poisson):
+        out[g:p] = count_log_likelihood(beta[g:p], *prep.poisson.T[:, :, None])
+    if len(prep.binomial):
+        out[p:] = count_log_likelihood(beta[p:], *prep.binomial.T[:, :, None])
 
 
 def _evaluate(mu: float, sd: float, prep: _Prepared) -> float:
@@ -126,35 +186,40 @@ def _evaluate(mu: float, sd: float, prep: _Prepared) -> float:
         total += float(
             np.sum(-0.5 * (_LOG_2PI + np.log(var)) - (prep.norm_beta - mu) ** 2 / (2.0 * var))
         )
-    n_grids = len(prep.grid_x)
-    if n_grids == 0:
+    if prep.mode.size == 0:
         return total
+    n_grids = len(prep.grid_x)
     if sd == 0.0:
         for x, ll in zip(prep.grid_x, prep.grid_ll):
             total += float(np.interp(mu, x, ll, left=-np.inf, right=-np.inf))
+        if prep.mode.size > n_grids:
+            at_mu = np.full((prep.mode.size, 1), mu)
+            _count_log_likelihoods(prep, at_mu, out=at_mu)
+            total += float(np.sum(at_mu[n_grids:]))
         return total
     # Gauss-Hermite nodes placed at the approximate mode/scale of each
     # integrand product, so narrow likelihoods are still resolved
     sd2 = sd * sd
-    prec = 1.0 / sd2 + 1.0 / prep.grid_width**2
+    prec = 1.0 / sd2 + 1.0 / prep.width**2
     w_star = prec**-0.5
-    m_star = (mu / sd2 + prep.grid_mode / prep.grid_width**2) / prec
+    m_star = (mu / sd2 + prep.mode / prep.width**2) / prec
     nodes = m_star[:, None] + math.sqrt(2.0) * w_star[:, None] * _GH_X[None, :]
     ll_nodes = np.empty_like(nodes)
     for i, (x, ll) in enumerate(zip(prep.grid_x, prep.grid_ll)):
         ll_nodes[i] = np.interp(nodes[i], x, ll, left=-np.inf, right=-np.inf)
-    log_phi = -0.5 * (_LOG_2PI + math.log(sd2)) - (nodes - mu) ** 2 / (2.0 * sd2)
-    exponents = (
-        ll_nodes
-        + log_phi
-        + (_GH_X**2 + _GH_LOGW)[None, :]
-        + 0.5 * math.log(2.0)
-        + np.log(w_star)[:, None]
-    )
+    _count_log_likelihoods(prep, nodes, out=ll_nodes)
+    # in place, in the order of ll + log_phi + kernel + log(2)/2 + log(w_star)
+    exponents = ll_nodes
+    exponents += -0.5 * (_LOG_2PI + math.log(sd2)) - (nodes - mu) ** 2 / (2.0 * sd2)
+    exponents += _GH_LOG_KERNEL[None, :]
+    exponents += 0.5 * math.log(2.0)
+    exponents += np.log(w_star)[:, None]
     peak = exponents.max(axis=1)
     if not np.all(peak > -np.inf):
         return -math.inf  # some profile has zero mass under this (mu, sd)
-    total += float(np.sum(peak + np.log(np.sum(np.exp(exponents - peak[:, None]), axis=1))))
+    exponents -= peak[:, None]
+    np.exp(exponents, out=exponents)
+    total += float(np.sum(peak + np.log(np.sum(exponents, axis=1))))
     return total
 
 
@@ -166,13 +231,20 @@ def marginal_log_likelihood(
     Each profile contributes the log of its likelihood integrated against the
     normal bias density; at sd=0 the integral degenerates to the likelihood
     evaluated at mu. Normal-approximation profiles use the exact convolution;
-    grid profiles use 64-point Gauss-Hermite quadrature.
+    all other profiles use 64-point Gauss-Hermite quadrature. Count-derived
+    grids (from profile_from_counts) are evaluated exactly from their counts
+    at the quadrature nodes; grids read from files are linearly interpolated.
+
+    Raises:
+        CurvatureError: A grid profile has no usable interior maximum.
     """
     if not math.isfinite(mu):
         raise ValueError("mu must be finite")
     if not (math.isfinite(sd) and sd >= 0):
         raise ValueError("sd must be nonnegative and finite")
     prep = _prepare(list(profiles))
+    if prep.n_excluded:
+        raise CurvatureError(f"{prep.n_excluded} grid profile(s) have no usable interior maximum")
     if prep.n_profiles == 0:
         raise ValueError("at least one profile is required")
     return _evaluate(mu, sd, prep)
@@ -181,30 +253,26 @@ def marginal_log_likelihood(
 def fit_error_model(profiles: Iterable[LikelihoodProfile]) -> ErrorModel:
     """Fit the systematic-error distribution to negative-control profiles.
 
-    Maximizes the marginal likelihood over (mean, log sd) with a Nelder-Mead
-    simplex from three starting points; the sd=0 boundary is reachable.
-    Profiles without a usable interior maximum are dropped and counted in the
-    returned model's n_excluded.
+    Maximizes the marginal likelihood (see marginal_log_likelihood: exact for
+    normal approximations and count-derived grids, interpolated for grids
+    read from files) over (mean, log sd) with a Nelder-Mead simplex from
+    three starting points; the sd=0 boundary is reachable. Profiles without
+    a usable interior maximum are dropped and counted in the returned
+    model's n_excluded.
 
     Raises:
         InsufficientControlsError: Fewer than 2 usable profiles.
         FitError: No starting point reached a finite optimum.
     """
-    usable: list[LikelihoodProfile] = []
-    excluded = 0
-    for pr in profiles:
-        try:
-            if isinstance(pr, GridProfile):
-                mle_and_se(pr)  # usability probe
-            usable.append(pr)
-        except (CurvatureError, UninformativeProfileError):
-            excluded += 1
-    if len(usable) < 2:
+    return _fit(_prepare(list(profiles)))
+
+
+def _fit(prep: _Prepared) -> ErrorModel:
+    if prep.n_profiles < 2:
         raise InsufficientControlsError(
-            f"need at least 2 usable negative-control profiles, got {len(usable)}"
+            f"need at least 2 usable negative-control profiles, got {prep.n_profiles}"
         )
-    prep = _prepare(usable)
-    mles = np.concatenate([prep.norm_beta, prep.grid_mode])
+    mles = np.concatenate([prep.norm_beta, prep.mode])
 
     def negative_objective(params: np.ndarray) -> float:
         mu, z = params
@@ -233,9 +301,9 @@ def fit_error_model(profiles: Iterable[LikelihoodProfile]) -> ErrorModel:
     return ErrorModel(
         mean=float(best.x[0]),
         sd=sd_hat,
-        n_controls=len(usable),
+        n_controls=prep.n_profiles,
         converged=bool(best.success),
-        n_excluded=excluded,
+        n_excluded=prep.n_excluded,
     )
 
 
@@ -244,17 +312,19 @@ def leave_one_out_models(
 ) -> list[ErrorModel | None]:
     """Fit one model per profile, each excluding that profile from the fit.
 
+    The profiles are prepared once and each fit runs on the remaining rows,
+    so entry i equals fit_error_model of the profiles without profile i.
     Entries are None where the reduced fit failed; failures do not abort the
     remaining fits. Result order matches the input order.
     """
     profiles = list(profiles)
     if len(profiles) < 3:
         raise InsufficientControlsError("leave-one-out requires at least 3 profiles")
+    prep = _prepare(profiles)
     models: list[ErrorModel | None] = []
     for i in range(len(profiles)):
-        rest = profiles[:i] + profiles[i + 1 :]
         try:
-            models.append(fit_error_model(rest))
+            models.append(_fit(prep.without(i)))
         except (InsufficientControlsError, FitError):
             models.append(None)
     return models

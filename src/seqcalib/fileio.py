@@ -302,8 +302,14 @@ def read_controls(f: TextIO) -> list[str]:
 
 
 def read_error_model(f: TextIO) -> ErrorModel:
-    """Columns: mean, sd, n_controls, converged (single record)."""
-    _, rows = _read_table(f, ["mean", "sd", "n_controls", "converged"])
+    """Columns: mean, sd, n_controls, converged[, n_excluded] (single record).
+
+    Records written before n_excluded was recorded lack the column; they
+    read as n_excluded 0.
+    """
+    header, rows = _read_table(
+        f, ["mean", "sd", "n_controls", "converged"], optional=["n_excluded"]
+    )
     if len(rows) != 1:
         raise FileFormatError(f"expected exactly one record, got {len(rows)}")
     line, row = rows[0]
@@ -313,6 +319,11 @@ def read_error_model(f: TextIO) -> ErrorModel:
             sd=_parse_float(row["sd"], "sd", line),
             n_controls=_parse_int(row["n_controls"], "n_controls", line),
             converged=_parse_bool(row["converged"], "converged", line),
+            n_excluded=(
+                _parse_int(row["n_excluded"], "n_excluded", line)
+                if "n_excluded" in header
+                else 0
+            ),
         )
     except ValueError as exc:
         if isinstance(exc, FileFormatError):
@@ -326,8 +337,8 @@ def write_error_model(
     _write_header(f, "error-model", provenance)
     _write_rows(
         f,
-        ["mean", "sd", "n_controls", "converged"],
-        [(model.mean, model.sd, model.n_controls, model.converged)],
+        ["mean", "sd", "n_controls", "converged", "n_excluded"],
+        [(model.mean, model.sd, model.n_controls, model.converged, model.n_excluded)],
     )
 
 

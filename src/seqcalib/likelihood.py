@@ -29,6 +29,7 @@ __all__ = [
     "PoissonCounts",
     "UninformativeProfileError",
     "binomial_llr",
+    "count_log_likelihood",
     "mle_and_se",
     "poisson_llr",
     "profile_from_counts",
@@ -72,11 +73,17 @@ class NormalApprox:
 
 @dataclass(frozen=True, eq=False)
 class GridProfile:
-    """Log-likelihood of the log effect size tabulated on an ascending grid."""
+    """Log-likelihood of the log effect size tabulated on an ascending grid.
+
+    Grids built by profile_from_counts keep the counts they were tabulated
+    from, so the error-model fit can evaluate them exactly between grid
+    points; grids read from files have counts None and are interpolated.
+    """
 
     grid_points: np.ndarray
     log_likelihoods: np.ndarray
     outcome_id: str = ""
+    counts: CountData | None = None
 
     def __post_init__(self) -> None:
         x = np.asarray(self.grid_points, dtype=float)
@@ -111,6 +118,11 @@ class PoissonCounts:
         if not (math.isfinite(self.expected) and self.expected > 0):
             raise ValueError("expected must be positive and finite")
 
+    @property
+    def offset(self) -> float:
+        """Log of the expected count: the log rate at zero log effect size."""
+        return math.log(self.expected)
+
 
 @dataclass(frozen=True)
 class BinomialCounts:
@@ -127,6 +139,12 @@ class BinomialCounts:
             raise ValueError("exposed must be an integer in [0, total]")
         if not (0.0 < self.null_proportion < 1.0):
             raise ValueError("null_proportion must lie in (0, 1)")
+
+    @property
+    def offset(self) -> float:
+        """Log odds of the null proportion: the log odds at zero log effect size."""
+        p = self.null_proportion
+        return math.log(p / (1.0 - p))
 
 
 CountData = PoissonCounts | BinomialCounts
@@ -187,6 +205,27 @@ def tilted_proportion(p: float, log_odds_shift):
     return out
 
 
+def count_log_likelihood(beta, observed, null_value, offset, total=None):
+    """Log-likelihood of the log effect size beta given counts, up to a term free of beta.
+
+    Poisson counts (total None): null_value is the expected count e, offset
+    its log, and the value is o*(log e + beta) - e*exp(beta). Binomial counts:
+    null_value is the null exposure proportion p, offset its log odds, and the
+    value is o*log(q) + (n - o)*log(1 - q), where q has log odds
+    logit(p) + beta (q = p exactly at beta = 0); this equals
+    o*z - n*log(1 + exp(z)) with z = logit(p) + beta.
+
+    The offset is the count's `offset` property, computed once per outcome.
+    Arguments broadcast, so columns of counts against a matrix of beta give
+    every outcome's log-likelihood at all of its points in one call.
+    """
+    if total is None:
+        return observed * (offset + beta) - null_value * np.exp(beta)
+    z = np.clip(offset + beta, -500.0, 500.0)
+    q = np.where(beta == 0.0, null_value, expit(z))
+    return observed * np.log(q) + (total - observed) * np.log1p(-q)
+
+
 def profile_from_counts(
     data: CountData,
     *,
@@ -216,7 +255,7 @@ def profile_from_counts(
         lo = min(lower, mle - _GRID_MARGIN)
         hi = max(upper, mle + _GRID_MARGIN)
         beta = np.linspace(lo, hi, points)
-        ll = data.observed * (math.log(data.expected) + beta) - data.expected * np.exp(beta)
+        ll = count_log_likelihood(beta, data.observed, data.expected, data.offset)
     elif isinstance(data, BinomialCounts):
         if data.exposed == 0 or data.exposed == data.total:
             raise UninformativeProfileError(
@@ -227,11 +266,10 @@ def profile_from_counts(
         lo = min(lower, mle - _GRID_MARGIN)
         hi = max(upper, mle + _GRID_MARGIN)
         beta = np.linspace(lo, hi, points)
-        ptilde = tilted_proportion(p, beta)
-        ll = o * np.log(ptilde) + (n - o) * np.log1p(-ptilde)
+        ll = count_log_likelihood(beta, o, p, data.offset, total=n)
     else:
         raise TypeError(f"unsupported count data: {type(data).__name__}")
-    return GridProfile(beta, ll, outcome_id=outcome_id)
+    return GridProfile(beta, ll, outcome_id=outcome_id, counts=data)
 
 
 def mle_and_se(profile: LikelihoodProfile) -> tuple[float, float]:

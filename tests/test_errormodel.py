@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from seqcalib.errormodel import (
     ErrorModel,
@@ -10,7 +11,13 @@ from seqcalib.errormodel import (
     leave_one_out_models,
     marginal_log_likelihood,
 )
-from seqcalib.likelihood import NormalApprox, PoissonCounts, profile_from_counts
+from seqcalib.likelihood import (
+    BinomialCounts,
+    GridProfile,
+    NormalApprox,
+    PoissonCounts,
+    profile_from_counts,
+)
 
 
 def closed_form_objective(mu, sd, betas, ses):
@@ -28,6 +35,46 @@ def grid_search_oracle(betas, ses, mu_grid, sd_grid):
     )
     i, j = np.unravel_index(np.argmax(obj), obj.shape)
     return float(mu_grid[i]), float(sd_grid[j])
+
+
+def exact_count_ll(data, b):
+    """Count log-likelihood of log effect size b, written out independently."""
+    if isinstance(data, PoissonCounts):
+        return data.observed * (math.log(data.expected) + b) - data.expected * math.exp(b)
+    z = math.log(data.null_proportion / (1.0 - data.null_proportion)) + b
+    return data.exposed * z - data.total * math.log1p(math.exp(z))
+
+
+def quad_oracle(data, mu, sd):
+    """log of the integral of exp(ll(b)) * phi(b; mu, sd) db by adaptive quadrature."""
+    ref = exact_count_ll(data, mu)
+
+    def integrand(b):
+        log_phi = -0.5 * ((b - mu) / sd) ** 2 - math.log(sd * math.sqrt(2 * math.pi))
+        return math.exp(exact_count_ll(data, b) - ref + log_phi)
+
+    value, _ = integrate.quad(
+        integrand, mu - 12 * sd, mu + 12 * sd, epsabs=0, epsrel=1e-12, limit=400
+    )
+    return ref + math.log(value)
+
+
+def count_controls(n, mu, sigma, seed, design):
+    """Count-derived negative-control profiles with N(mu, sigma^2) bias."""
+    rng = np.random.default_rng(seed)
+    bias = rng.normal(mu, sigma, n)
+    profiles = []
+    for b in bias:
+        if design == "poisson":
+            expected = float(rng.uniform(10.0, 40.0))
+            data = PoissonCounts(max(1, int(rng.poisson(expected * math.exp(b)))), expected)
+        else:
+            total = int(rng.integers(40, 120))
+            p = 0.3
+            q = p * math.exp(b) / (1 - p + p * math.exp(b))
+            data = BinomialCounts(int(np.clip(rng.binomial(total, q), 1, total - 1)), total, p)
+        profiles.append(profile_from_counts(data))
+    return profiles
 
 
 def synthetic_controls(n, mu, sigma, seed):
@@ -80,6 +127,28 @@ class TestFitErrorModel:
         assert model.n_controls == 5
         assert math.isfinite(model.mean)
 
+    @pytest.mark.parametrize("design", ["poisson", "binomial"])
+    def test_count_controls_match_grid_search_oracle(self, design):
+        profiles = count_controls(40, 0.2, 0.2, seed=303, design=design)
+        model = fit_error_model(profiles)
+
+        def argmax(mu_grid, sd_grid):
+            values = [
+                (marginal_log_likelihood(m, s, profiles), m, s) for m in mu_grid for s in sd_grid
+            ]
+            _, m, s = max(values)
+            return m, s
+
+        # coarse 2-D search of the exact objective, then a fine one around its argmax
+        mu_c, sd_c = argmax(np.arange(-0.4, 0.8 + 1e-9, 0.04), np.arange(0.0, 0.6 + 1e-9, 0.04))
+        mu_g, sd_g = argmax(
+            np.arange(mu_c - 0.04, mu_c + 0.04 + 1e-9, 0.004),
+            np.arange(max(0.0, sd_c - 0.04), sd_c + 0.04 + 1e-9, 0.004),
+        )
+        assert abs(model.mean - mu_g) <= 0.01
+        assert abs(model.sd - sd_g) <= 0.01
+        assert model.converged
+
     def test_unusable_profiles_are_dropped_and_counted(self):
         from seqcalib.likelihood import GridProfile
 
@@ -120,6 +189,29 @@ class TestMarginalLogLikelihood:
         oracle = peak + math.log(np.trapezoid(np.exp(ll - peak) * phi, x))
         assert value == pytest.approx(oracle, abs=1e-4)
 
+    @pytest.mark.parametrize(
+        "data", [PoissonCounts(10, 5.0), PoissonCounts(231, 200.0), BinomialCounts(12, 30, 0.25)]
+    )
+    @pytest.mark.parametrize("mu,sd", [(0.0, 0.2), (0.5, 0.1), (-0.3, 0.35), (0.2, 0.02)])
+    def test_count_profile_matches_quadrature_oracle(self, data, mu, sd):
+        value = marginal_log_likelihood(mu, sd, [profile_from_counts(data)])
+        assert value == pytest.approx(quad_oracle(data, mu, sd), abs=1e-8)
+
+    @pytest.mark.parametrize("data", [PoissonCounts(10, 5.0), BinomialCounts(12, 30, 0.25)])
+    def test_count_profile_at_sd_zero_is_exact(self, data):
+        value = marginal_log_likelihood(0.123, 0.0, [profile_from_counts(data)])
+        assert value == pytest.approx(exact_count_ll(data, 0.123), abs=1e-10)
+
+    @pytest.mark.parametrize("mu,sd", [(0.0, 0.2), (0.5, 0.1), (-0.3, 0.35)])
+    def test_grid_without_counts_is_interpolated(self, mu, sd):
+        data = PoissonCounts(10, 5.0)
+        counted = profile_from_counts(data)
+        file_grid = GridProfile(counted.grid_points, counted.log_likelihoods)
+        interpolated = marginal_log_likelihood(mu, sd, [file_grid])
+        exact = quad_oracle(data, mu, sd)
+        assert interpolated == pytest.approx(exact, abs=1e-3)
+        assert interpolated != pytest.approx(exact, abs=1e-9)
+
     def test_permutation_invariance(self):
         _, _, profiles = synthetic_controls(20, 0.1, 0.2, seed=3)
         forward = marginal_log_likelihood(0.05, 0.15, profiles)
@@ -158,6 +250,26 @@ class TestLeaveOneOut:
         full = fit_error_model(profiles)
         models = leave_one_out_models(profiles)
         assert models[outlier_index].sd < full.sd
+
+    @pytest.mark.parametrize("design", ["poisson", "binomial"])
+    def test_matches_fit_without_each_count_profile(self, design):
+        profiles = count_controls(8, 0.2, 0.2, seed=77, design=design)
+        models = leave_one_out_models(profiles)
+        for i, model in enumerate(models):
+            assert model == fit_error_model(profiles[:i] + profiles[i + 1 :])
+
+    def test_matches_fit_without_each_profile_of_mixed_kinds(self):
+        counted = count_controls(3, 0.1, 0.2, seed=78, design="poisson")
+        counted += count_controls(2, 0.1, 0.2, seed=79, design="binomial")
+        file_grid = GridProfile(counted[0].grid_points, counted[0].log_likelihoods)
+        unusable = GridProfile([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+        normal = [NormalApprox(0.15, 0.1), NormalApprox(0.3, 0.2)]
+        profiles = [counted[0], normal[0], unusable, file_grid, *counted[1:], normal[1]]
+        models = leave_one_out_models(profiles)
+        for i, model in enumerate(models):
+            assert model == fit_error_model(profiles[:i] + profiles[i + 1 :])
+        assert models[2].n_excluded == 0
+        assert all(m.n_excluded == 1 for j, m in enumerate(models) if j != 2)
 
     def test_requires_three_profiles(self):
         with pytest.raises(InsufficientControlsError):

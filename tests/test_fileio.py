@@ -112,6 +112,17 @@ class TestRecords:
         assert "# n_inputs=50" in text
         assert parsed == model
 
+    def test_error_model_roundtrip_keeps_excluded_count(self):
+        model = ErrorModel(-0.05, 0.0, n_controls=18, converged=False, n_excluded=2)
+        text, parsed = roundtrip(fileio.write_error_model, fileio.read_error_model, model)
+        assert text.splitlines()[1] == "mean,sd,n_controls,converged,n_excluded"
+        assert parsed == model
+
+    def test_error_model_without_excluded_column_reads_as_zero(self):
+        text = "# seqcalib error-model v1\nmean,sd,n_controls,converged\n0.1,0.2,49,true\n"
+        parsed = fileio.read_error_model(io.StringIO(text))
+        assert parsed == ErrorModel(0.1, 0.2, n_controls=49, converged=True, n_excluded=0)
+
     def test_cv_record_roundtrip(self):
         record = CriticalValueResult(cv=1.5451774444795623, attained_alpha=0.02136)
         text, parsed = roundtrip(

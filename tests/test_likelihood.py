@@ -12,6 +12,7 @@ from seqcalib.likelihood import (
     PoissonCounts,
     UninformativeProfileError,
     binomial_llr,
+    count_log_likelihood,
     mle_and_se,
     poisson_llr,
     profile_from_counts,
@@ -146,6 +147,39 @@ class TestProfileFromCounts:
             ll = profile.log_likelihoods
             ll_at_zero = float(np.interp(0.0, profile.grid_points, ll))
             assert ll.max() - ll_at_zero == pytest.approx(binomial_llr(o, n, p), abs=1e-3)
+
+
+    def test_records_the_counts_it_was_built_from(self):
+        data = BinomialCounts(7, 20, 0.3)
+        assert profile_from_counts(data).counts is data
+        assert GridProfile([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]).counts is None
+
+
+class TestCountLogLikelihood:
+    def test_poisson_matches_logpmf_differences(self):
+        beta = np.linspace(-2.0, 2.0, 41)
+        data = PoissonCounts(13, 6.5)
+        ll = count_log_likelihood(beta, data.observed, data.expected, data.offset)
+        oracle = stats.poisson.logpmf(13, 6.5 * np.exp(beta))
+        assert np.allclose(ll - ll[20], oracle - oracle[20], rtol=0, atol=1e-10)
+
+    def test_binomial_matches_logpmf_differences(self):
+        beta = np.linspace(-2.0, 2.0, 41)
+        data = BinomialCounts(9, 25, 0.2)
+        ll = count_log_likelihood(beta, 9, 0.2, data.offset, total=25)
+        oracle = stats.binom.logpmf(9, 25, tilted_proportion(0.2, beta))
+        assert np.allclose(ll - ll[20], oracle - oracle[20], rtol=0, atol=1e-10)
+
+    def test_columns_broadcast_against_rows_of_points(self):
+        counts = [PoissonCounts(3, 2.0), PoissonCounts(40, 55.5)]
+        beta = np.array([[-0.5, 0.0, 0.7], [0.1, 0.2, 0.3]])
+        observed = np.array([[c.observed] for c in counts], dtype=float)
+        expected = np.array([[c.expected] for c in counts])
+        offset = np.array([[c.offset] for c in counts])
+        stacked = count_log_likelihood(beta, observed, expected, offset)
+        for row, c in enumerate(counts):
+            single = count_log_likelihood(beta[row], c.observed, c.expected, c.offset)
+            assert np.array_equal(stacked[row], single)
 
 
 class TestMleAndSe:
