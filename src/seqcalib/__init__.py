@@ -31,13 +31,12 @@ from .likelihood import (
     tilted_proportion,
 )
 from .maxsprt import (
+    CriticalValueError,
     CriticalValueResult,
     LookSchedule,
     MonteCarloConfig,
     compute_calibrated_cv,
     compute_cv,
-    dynamic_cv,
-    llr_sequence,
 )
 from .simharness import (
     ConfoundingEstimate,
@@ -68,6 +67,7 @@ __all__ = [
     "BinomialCounts",
     "ConfoundingEstimate",
     "CountData",
+    "CriticalValueError",
     "CriticalValueResult",
     "CurvatureError",
     "ErrorModel",
@@ -93,11 +93,9 @@ __all__ = [
     "compute_calibrated_cv",
     "compute_cv",
     "confounding_demo",
-    "dynamic_cv",
     "fit_error_model",
     "generate_outcome_data",
     "leave_one_out_models",
-    "llr_sequence",
     "marginal_log_likelihood",
     "mle_and_se",
     "paper_scenarios",

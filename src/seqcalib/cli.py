@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: fit-null (systematic-error distribution from negative-control
-estimates), compute-cv (Monte Carlo critical values, optionally calibrated),
+estimates), compute-cv (exact MaxSPRT critical values, optionally calibrated),
 run (sequential surveillance over a looks file), simulate (operating-
 characteristic scenarios). Exit codes: 0 success, 2 input error, 3
 numerical failure.
@@ -18,18 +18,19 @@ from pathlib import Path
 from . import fileio
 from .errormodel import FitError, InsufficientControlsError, fit_error_model
 from .likelihood import BinomialCounts, CurvatureError, PoissonCounts
-from .maxsprt import LookSchedule, MonteCarloConfig, compute_calibrated_cv, compute_cv
-from .simharness import (
-    DESK_REPEATS,
-    DESK_REPLICATES,
-    FULL_REPEATS,
-    FULL_REPLICATES,
-    paper_scenarios,
-    run_scenario,
+from .maxsprt import (
+    NO_REPLICATES,
+    CriticalValueError,
+    LookSchedule,
+    compute_calibrated_cv,
+    compute_cv,
 )
+from .simharness import DESK_REPEATS, FULL_REPEATS, paper_scenarios, run_scenario
 from .surveillance import ALL_MODES, LookObservation, ProtocolError, run_surveillance, type1_report
 
 __all__ = ["main"]
+
+_SEED_ECHOED = "echoed in the output provenance; exact critical values do not depend on it"
 
 
 def _open_out(stack: ExitStack, path: str):
@@ -55,18 +56,15 @@ def cmd_fit_null(args: argparse.Namespace) -> int:
 def cmd_compute_cv(args: argparse.Namespace) -> int:
     with open(args.schedule, encoding="utf-8") as f:
         schedule = fileio.read_schedule(f)
-    mc = MonteCarloConfig(args.replicates, base_seed=args.seed)
     if args.error_model:
         with open(args.error_model, encoding="utf-8") as f:
             model = fileio.read_error_model(f)
-        result = compute_calibrated_cv(schedule, model, mc)
+        result = compute_calibrated_cv(schedule, model, NO_REPLICATES)
     else:
-        result = compute_cv(schedule, mc)
+        result = compute_cv(schedule, NO_REPLICATES)
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
-        fileio.write_cv_record(
-            out, result, provenance={"seed": args.seed, "replicates": args.replicates}
-        )
+        fileio.write_cv_record(out, result, provenance={"seed": args.seed})
     return 0
 
 
@@ -121,11 +119,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     looks = _build_looks(schedule, look_rows)
     modes = tuple(args.modes.split(",")) if args.modes else ALL_MODES
-    mc = MonteCarloConfig(args.replicates, base_seed=args.seed)
     result = run_surveillance(
-        schedule, looks, control_ids, mc, modes, leave_one_out=not args.no_leave_one_out
+        schedule, looks, control_ids, modes, leave_one_out=not args.no_leave_one_out
     )
-    provenance = {"seed": args.seed, "replicates": args.replicates}
+    provenance = {"seed": args.seed}
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
         fileio.write_results_table(out, result, provenance=provenance)
@@ -136,16 +133,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _scenario_task(payload) -> object:
-    scenario, replicates, repeats = payload
-    return run_scenario(scenario, replicates=replicates, repeats=repeats)
+    scenario, repeats = payload
+    return run_scenario(scenario, repeats=repeats)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     repeats = args.repeats if args.repeats is not None else (
         FULL_REPEATS if args.full_scale else DESK_REPEATS
-    )
-    replicates = args.replicates if args.replicates is not None else (
-        FULL_REPLICATES if args.full_scale else DESK_REPLICATES
     )
     scenarios = paper_scenarios(repeats=repeats, base_seed=args.seed)
     if args.list:
@@ -159,7 +153,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             return 2
         scenarios = matches
 
-    tasks = [(s, replicates, repeats) for s in scenarios]
+    tasks = [(s, repeats) for s in scenarios]
     if args.workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             reports = list(pool.map(_scenario_task, tasks))
@@ -171,7 +165,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         fileio.write_simulation_rows(
             out,
             reports,
-            provenance={"seed": args.seed, "replicates": replicates, "repeats": repeats},
+            provenance={"seed": args.seed, "repeats": repeats},
         )
     return 0
 
@@ -189,11 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output path (default stdout)")
     p.set_defaults(func=cmd_fit_null)
 
-    p = sub.add_parser("compute-cv", help="Monte Carlo critical value for a schedule")
+    p = sub.add_parser("compute-cv", help="exact MaxSPRT critical value for a schedule")
     p.add_argument("schedule", help="schedule file (model,t,e_t,p,alpha)")
     p.add_argument("--error-model", help="error-model record; calibrates the critical value")
-    p.add_argument("--replicates", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=42, help=_SEED_ECHOED)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_compute_cv)
 
@@ -201,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("schedule")
     p.add_argument("looks", help="looks file (outcome_id,look,cumulative_observed[,cumulative_total])")
     p.add_argument("controls", help="negative-control ids (outcome_id)")
-    p.add_argument("--replicates", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=42, help=_SEED_ECHOED)
     p.add_argument("--modes", help=f"comma-separated subset of {','.join(ALL_MODES)}")
     p.add_argument(
         "--no-leave-one-out",
@@ -219,11 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--full-scale",
         action="store_true",
-        help=f"repeats={FULL_REPEATS}, replicates={FULL_REPLICATES} "
-        f"(default: desk scale {DESK_REPEATS}/{DESK_REPLICATES})",
+        help=f"repeats={FULL_REPEATS} (default: desk scale, {DESK_REPEATS})",
     )
     p.add_argument("--repeats", type=int, help="override the repeat count")
-    p.add_argument("--replicates", type=int, help="override the Monte Carlo replicate count")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--workers", type=int, default=1, help="max parallel scenario workers")
     p.add_argument("--out", default="-")
@@ -238,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     except fileio.FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FitError, InsufficientControlsError, CurvatureError) as exc:
+    except (FitError, InsufficientControlsError, CurvatureError, CriticalValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ProtocolError, ValueError, OSError) as exc:

@@ -2,7 +2,7 @@
 
 Every file is comma-separated with a `# seqcalib <kind> v1` version comment
 on the first line, optional further `#` comment lines (provenance such as
-seed and replicate count), then a header row. Readers ignore comments and
+seed and repeat count), then a header row. Readers ignore comments and
 validate the header; writers emit floats with full round-trip precision so
 parsing an output reproduces the in-memory records exactly.
 """

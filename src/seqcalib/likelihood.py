@@ -150,42 +150,49 @@ class BinomialCounts:
 CountData = PoissonCounts | BinomialCounts
 
 
-def poisson_llr(observed: float, expected: float) -> float:
+def _scalar_or_array(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
+
+
+def poisson_llr(observed, expected):
     """One-sided log-likelihood ratio for a Poisson count against its null expectation.
 
     Returns 0 when the rate MLE does not exceed the null (observed <= expected),
     otherwise the log of the Poisson pmf ratio with the rate set to the MLE.
+    Arguments broadcast: scalars give a float, arrays an array of LLRs.
     """
-    if not (math.isfinite(observed) and math.isfinite(expected)):
+    o = np.asarray(observed, dtype=float)
+    e = np.asarray(expected, dtype=float)
+    if not (np.all(np.isfinite(o)) and np.all(np.isfinite(e))):
         raise ValueError("observed and expected must be finite")
-    if observed < 0:
+    if np.any(o < 0):
         raise ValueError("observed must be nonnegative")
-    if expected <= 0:
+    if np.any(e <= 0):
         raise ValueError("expected must be positive")
-    if observed <= expected:
-        return 0.0
-    return observed * math.log(observed / expected) + expected - observed
+    ratio = np.maximum(o / e, 1e-300)
+    values = o * np.log(ratio) + e - o
+    return _scalar_or_array(np.where(o > e, values, 0.0))
 
 
-def binomial_llr(exposed: int, total: int, p: float) -> float:
+def binomial_llr(exposed, total, p):
     """One-sided log-likelihood ratio for an exposed fraction against null proportion p.
 
     Returns 0 when the observed fraction does not exceed p, otherwise the log of
     the binomial pmf ratio with the success probability set to the observed fraction.
+    Arguments broadcast: scalars give a float, arrays an array of LLRs.
     """
-    if total < 1:
+    k = np.asarray(exposed)
+    n = np.asarray(total)
+    if np.any(n < 1):
         raise ValueError("total must be at least 1")
-    if exposed < 0 or exposed > total:
+    if np.any(k < 0) or np.any(k > n):
         raise ValueError("exposed must lie in [0, total]")
-    if not (0.0 < p < 1.0):
+    if not np.all((np.asarray(p) > 0.0) & (np.asarray(p) < 1.0)):
         raise ValueError("p must lie in (0, 1)")
-    q = exposed / total
-    if q <= p:
-        return 0.0
-    llr = exposed * math.log(q / p)
-    if exposed < total:
-        llr += (total - exposed) * math.log((1.0 - q) / (1.0 - p))
-    return llr
+    q = k / n
+    term1 = k * np.log(np.maximum(q, 1e-300) / p)
+    term2 = (n - k) * np.log(np.maximum(1.0 - q, 1e-300) / (1.0 - p))
+    return _scalar_or_array(np.where(q > p, term1 + term2, 0.0))
 
 
 def tilted_proportion(p: float, log_odds_shift):

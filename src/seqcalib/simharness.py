@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .likelihood import BinomialCounts, CountData, PoissonCounts, tilted_proportion
-from .maxsprt import LookSchedule, MonteCarloConfig
+from .maxsprt import LookSchedule
 from .surveillance import ALL_MODES, LookObservation, run_surveillance, type1_report
 
 __all__ = [
@@ -44,10 +44,12 @@ _DATA_TAG = 0x64617461
 _DEMO_TAG = 0x636F6E66
 
 DEFAULT_BASE_SEED = 424242
-DESK_REPLICATES = 10_000
 DESK_REPEATS = 20
-FULL_REPLICATES = 1_000_000
 FULL_REPEATS = 100
+# unused: critical values are exact; the benchmark scripts under bench/ still
+# read these and pass replicates= to run_scenario
+DESK_REPLICATES = 10_000
+FULL_REPLICATES = 1_000_000
 
 # historical comparator: outcomes per exposed subject over the whole period
 POISSON_BASELINE_RATE = 23.1 / 100_000
@@ -239,11 +241,10 @@ def run_scenario(
     signaled; type 2 rates are one minus the signaled fraction per positive
     effect size. The error model is fitted on all rate-ratio-1 outcomes at
     each look (no leave-one-out), mirroring a prospective study that tracks
-    a dedicated negative-control set.
+    a dedicated negative-control set. replicates is accepted and ignored.
     """
     n_repeats = scenario.repeats if repeats is None else repeats
     schedule = scenario_schedule(scenario)
-    mc = MonteCarloConfig(replicates, base_seed=scenario.base_seed)
 
     specs: list[tuple[str, float, int]] = []
     index = 0
@@ -264,9 +265,7 @@ def run_scenario(
                 if counts is not None:
                     per_look[t][outcome_id] = counts
         looks = [LookObservation(t + 1, per_look[t]) for t in range(scenario.looks)]
-        result = run_surveillance(
-            schedule, looks, control_ids, mc, ALL_MODES, leave_one_out=False
-        )
+        result = run_surveillance(schedule, looks, control_ids, ALL_MODES, leave_one_out=False)
 
         type1 = type1_report(result)
         for mode in ALL_MODES:

@@ -26,13 +26,7 @@ from .likelihood import (
     poisson_llr,
     profile_from_counts,
 )
-from .maxsprt import (
-    CriticalValueResult,
-    LookSchedule,
-    MonteCarloConfig,
-    compute_calibrated_cv,
-    compute_cv,
-)
+from .maxsprt import NO_REPLICATES, LookSchedule, compute_calibrated_cv, compute_cv
 
 __all__ = [
     "ALL_MODES",
@@ -127,7 +121,6 @@ def run_surveillance(
     schedule: LookSchedule,
     looks: Iterable[LookObservation],
     negative_control_ids: Iterable[str],
-    mc: MonteCarloConfig,
     modes: Sequence[str] = ALL_MODES,
     *,
     leave_one_out: bool = True,
@@ -154,13 +147,13 @@ def run_surveillance(
     if calibrate and not control_ids:
         raise ValueError("calibrated modes require negative control ids")
 
-    uncal_cv = compute_cv(schedule, mc).cv if "uncal_maxsprt" in modes else None
+    uncal_cv = compute_cv(schedule, NO_REPLICATES).cv if "uncal_maxsprt" in modes else None
     cal_cv_cache: dict[tuple[float, float], float] = {}
 
     def cal_cv(model: ErrorModel) -> float:
         key = (model.mean, model.sd)
         if key not in cal_cv_cache:
-            cal_cv_cache[key] = compute_calibrated_cv(schedule, model, mc).cv
+            cal_cv_cache[key] = compute_calibrated_cv(schedule, model, NO_REPLICATES).cv
         return cal_cv_cache[key]
 
     outcomes: dict[str, OutcomeResult] = {}
@@ -229,8 +222,7 @@ def run_surveillance(
                 ]
                 outcomes[outcome_id] = result
 
-            counts = current_counts[outcome_id]
-            llr = _count_llr(counts)
+            llr = _count_llr(current_counts[outcome_id])
             profile = profiles.get(outcome_id)
             informative = profile is not None
             model = control_models.get(outcome_id, full_model) if calibrate else None

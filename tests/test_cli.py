@@ -94,7 +94,7 @@ class TestComputeCv:
         out = tmp_path / "cv.csv"
         write_schedule_file(schedule, LookSchedule((4.0,), alpha=0.05))
         assert main(
-            ["compute-cv", str(schedule), "--replicates", "100000", "--seed", "7", "--out", str(out)]
+            ["compute-cv", str(schedule), "--seed", "7", "--out", str(out)]
         ) == 0
         record = read_output(out, fileio.read_cv_record)
         assert record.cv == pytest.approx(1.545177, abs=1e-6)
@@ -103,9 +103,7 @@ class TestComputeCv:
         schedule = tmp_path / "sched.csv"
         out = tmp_path / "cv.csv"
         write_schedule_file(schedule, LookSchedule((4.0,), alpha=1.0))
-        assert main(
-            ["compute-cv", str(schedule), "--replicates", "10000", "--out", str(out)]
-        ) == 0
+        assert main(["compute-cv", str(schedule), "--out", str(out)]) == 0
         assert read_output(out, fileio.read_cv_record).cv == 0.0
 
     def test_null_error_model_identical_to_omitting(self, tmp_path):
@@ -118,17 +116,23 @@ class TestComputeCv:
             fileio.write_error_model(f, ErrorModel(0.0, 0.0))
         plain_out = tmp_path / "plain.csv"
         cal_out = tmp_path / "cal.csv"
-        base = ["compute-cv", str(schedule), "--replicates", "50000", "--seed", "3"]
+        base = ["compute-cv", str(schedule), "--seed", "3"]
         assert main(base + ["--out", str(plain_out)]) == 0
         assert main(base + ["--error-model", str(model_file), "--out", str(cal_out)]) == 0
         assert plain_out.read_text() == cal_out.read_text()
 
+    def test_unsupported_count_range_exits_3(self, tmp_path, capsys):
+        schedule = tmp_path / "sched.csv"
+        write_schedule_file(schedule, LookSchedule((200_000.0,) * 10, alpha=0.05))
+        assert main(["compute-cv", str(schedule)]) == 3
+        assert "beyond the supported" in capsys.readouterr().err
+
     def test_provenance_echoed(self, tmp_path, capsys):
         schedule = tmp_path / "sched.csv"
         write_schedule_file(schedule, LookSchedule((4.0,), alpha=0.05))
-        assert main(["compute-cv", str(schedule), "--replicates", "10000", "--seed", "9"]) == 0
+        assert main(["compute-cv", str(schedule), "--seed", "9"]) == 0
         out = capsys.readouterr().out
-        assert "seed=9" in out and "replicates=10000" in out
+        assert "seed=9" in out
 
 
 class TestRun:
@@ -166,8 +170,6 @@ class TestRun:
                 str(schedule),
                 str(looks),
                 str(ctrl),
-                "--replicates",
-                "2000",
                 "--out",
                 str(out),
                 "--summary",
@@ -185,7 +187,7 @@ class TestRun:
         schedule, looks, ctrl = self._write_inputs(tmp_path, series)
         full_out = tmp_path / "full.csv"
         assert main(
-            ["run", str(schedule), str(looks), str(ctrl), "--replicates", "2000", "--out", str(full_out), "--summary", str(tmp_path / "s1.csv")]
+            ["run", str(schedule), str(looks), str(ctrl), "--out", str(full_out), "--summary", str(tmp_path / "s1.csv")]
         ) == 0
 
         truncated = {k: v[:2] for k, v in series.items()}
@@ -196,7 +198,7 @@ class TestRun:
         write_schedule_file(schedule2, LookSchedule((5.0,) * 3, alpha=0.05))
         trunc_out = tmp_path / "trunc.csv"
         assert main(
-            ["run", str(schedule2), str(looks2), str(ctrl2), "--replicates", "2000", "--out", str(trunc_out), "--summary", str(tmp_path / "s2.csv")]
+            ["run", str(schedule2), str(looks2), str(ctrl2), "--out", str(trunc_out), "--summary", str(tmp_path / "s2.csv")]
         ) == 0
 
         full_rows = read_output(full_out, fileio.read_results_table)
@@ -216,7 +218,7 @@ class TestRun:
         write_schedule_file(schedule, LookSchedule((5.0,) * 4, alpha=0.05))
         summary = tmp_path / "summary.csv"
         assert main(
-            ["run", str(schedule), str(looks), str(ctrl), "--replicates", "2000", "--out", str(tmp_path / "r.csv"), "--summary", str(summary)]
+            ["run", str(schedule), str(looks), str(ctrl), "--out", str(tmp_path / "r.csv"), "--summary", str(summary)]
         ) == 0
         fractions = read_output(summary, fileio.read_type1_summary)
         assert fractions["cal_maxsprt"] < fractions["uncal_p"]
@@ -274,8 +276,6 @@ class TestSimulate:
                 "sccs-small-mu0-sigma0",
                 "--repeats",
                 "2",
-                "--replicates",
-                "2000",
                 "--out",
                 str(out),
             ]
@@ -295,8 +295,6 @@ class TestSimulate:
             "historical-small-mu0-sigma0",
             "--repeats",
             "1",
-            "--replicates",
-            "2000",
         ]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--out", str(a)]) == 0
@@ -304,7 +302,7 @@ class TestSimulate:
         assert a.read_text() == b.read_text()
 
     def test_parallel_workers_match_serial(self, tmp_path):
-        args = ["simulate", "--repeats", "1", "--replicates", "2000"]
+        args = ["simulate", "--repeats", "1"]
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         assert main(args + ["--workers", "1", "--out", str(serial)]) == 0
         assert main(args + ["--workers", "4", "--out", str(parallel)]) == 0

@@ -6,7 +6,7 @@ import pytest
 from seqcalib import fileio
 from seqcalib.errormodel import ErrorModel
 from seqcalib.likelihood import NormalApprox, PoissonCounts, profile_from_counts
-from seqcalib.maxsprt import CriticalValueResult, LookSchedule, MonteCarloConfig
+from seqcalib.maxsprt import CriticalValueResult, LookSchedule
 from seqcalib.simharness import ErrorRateReport, ErrorRateRow
 from seqcalib.surveillance import LookObservation, run_surveillance
 
@@ -161,7 +161,6 @@ class TestResultsAndSummary:
             schedule,
             looks,
             [k for k in counts if k != "hot"],
-            MonteCarloConfig(2_000, base_seed=5),
         )
 
     def test_results_table_roundtrip(self, result):

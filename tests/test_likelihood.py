@@ -51,6 +51,21 @@ class TestPoissonLlr:
                 assert llr >= 0.0
                 assert (llr == 0.0) == (o <= e)
 
+    def test_arrays_match_scalars_bit_for_bit(self):
+        # critical values are picked from array evaluations and compared
+        # against scalar ones, so the two must give identical floats
+        counts = np.arange(0, 400)
+        expected = np.array([[0.7], [4.0], [23.1], [231.0]])
+        table = poisson_llr(counts, expected)
+        assert table.shape == (4, 400)
+        for i, e in enumerate(expected[:, 0]):
+            assert [poisson_llr(int(o), float(e)) for o in counts] == table[i].tolist()
+        assert isinstance(poisson_llr(8, 4.0), float)
+
+    def test_array_domain_errors(self):
+        with pytest.raises(ValueError):
+            poisson_llr(np.array([1, -1]), 2.0)
+
 
 class TestBinomialLlr:
     def test_at_null_is_zero(self):
@@ -75,6 +90,18 @@ class TestBinomialLlr:
     def test_monotone_in_exposed(self):
         values = [binomial_llr(o, 30, 0.3) for o in range(0, 31)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_arrays_match_scalars_bit_for_bit(self):
+        totals = np.array([[20], [157], [1571]])
+        counts = np.arange(0, 400)
+        table = binomial_llr(np.minimum(counts, totals), totals, 0.115)
+        for row, n in zip(table, totals[:, 0].tolist()):
+            assert [binomial_llr(min(o, n), n, 0.115) for o in counts.tolist()] == row.tolist()
+        assert isinstance(binomial_llr(8, 10, 0.5), float)
+
+    def test_array_domain_errors(self):
+        with pytest.raises(ValueError):
+            binomial_llr(np.array([3, 11]), np.array([10, 10]), 0.5)
 
 
 class TestTiltedProportion:

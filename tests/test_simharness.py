@@ -136,20 +136,20 @@ class TestGenerateOutcomeData:
 class TestRunScenario:
     def test_deterministic(self):
         s = mini_scenario(repeats=2)
-        a = run_scenario(s, replicates=2_000)
-        b = run_scenario(s, replicates=2_000)
+        a = run_scenario(s)
+        b = run_scenario(s)
         assert a.rows == b.rows
 
     def test_no_systematic_error_calibration_changes_little(self):
         s = mini_scenario(repeats=4, effect_sizes=((1.0, 30), (2.0, 10), (4.0, 10)))
-        report = run_scenario(s, replicates=2_000)
+        report = run_scenario(s)
         uncal = report.mean_rate("uncal_p", "type1")
         cal = report.mean_rate("cal_p", "type1")
         assert abs(uncal - cal) < 0.05
 
     def test_biased_scenario_directions(self):
         s = mini_scenario(error_mean=0.2, error_sd=0.2, repeats=4, looks=5)
-        report = run_scenario(s, replicates=2_000)
+        report = run_scenario(s)
         uncal_p = report.mean_rate("uncal_p", "type1")
         cal_p = report.mean_rate("cal_p", "type1")
         uncal_maxsprt = report.mean_rate("uncal_maxsprt", "type1")
@@ -163,23 +163,21 @@ class TestRunScenario:
 
     def test_type2_monotone_in_effect_size(self):
         s = mini_scenario(repeats=4)
-        report = run_scenario(s, replicates=2_000)
+        report = run_scenario(s)
         for mode in ("uncal_maxsprt", "cal_maxsprt", "uncal_p", "cal_p"):
             rates = [report.mean_rate(mode, "type2", rr) for rr in (1.5, 2.0, 4.0)]
             assert rates[0] >= rates[1] >= rates[2]
 
     def test_larger_sample_does_not_raise_type2(self):
-        small = run_scenario(mini_scenario(repeats=3), replicates=2_000)
-        large = run_scenario(
-            mini_scenario(repeats=3, sample_size=1_000_000), replicates=2_000
-        )
+        small = run_scenario(mini_scenario(repeats=3))
+        large = run_scenario(mini_scenario(repeats=3, sample_size=1_000_000))
         for mode in ("uncal_maxsprt", "cal_maxsprt"):
             for rr in (2.0, 4.0):
                 assert large.mean_rate(mode, "type2", rr) <= small.mean_rate(mode, "type2", rr)
 
     def test_rows_schema(self):
         s = mini_scenario(repeats=2)
-        report = run_scenario(s, replicates=2_000)
+        report = run_scenario(s)
         type1 = [r for r in report.rows if r.rate_type == "type1"]
         type2 = [r for r in report.rows if r.rate_type == "type2"]
         assert {r.mode for r in type1} == {"uncal_p", "uncal_maxsprt", "cal_p", "cal_maxsprt"}

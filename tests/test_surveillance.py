@@ -6,7 +6,7 @@ import pytest
 import seqcalib.surveillance as surveillance_module
 from seqcalib.errormodel import ErrorModel, FitError
 from seqcalib.likelihood import BinomialCounts, PoissonCounts
-from seqcalib.maxsprt import LookSchedule, MonteCarloConfig
+from seqcalib.maxsprt import LookSchedule
 from seqcalib.surveillance import (
     ALL_MODES,
     LookObservation,
@@ -14,8 +14,6 @@ from seqcalib.surveillance import (
     run_surveillance,
     type1_report,
 )
-
-MC = MonteCarloConfig(2_000, base_seed=77)
 
 
 def poisson_schedule(n_looks=3, e=5.0, alpha=0.05):
@@ -48,7 +46,7 @@ class TestRunSurveillance:
     def test_counts_at_expectation_never_signal(self):
         series = {"a": [5, 10, 15], **null_control_series(4, 3, seed=1)}
         result = run_surveillance(
-            poisson_schedule(), poisson_looks(series), [k for k in series if k != "a"], MC
+            poisson_schedule(), poisson_looks(series), [k for k in series if k != "a"]
         )
         outcome = result.outcomes["a"]
         assert all(v is None for v in outcome.first_signal_look.values())
@@ -57,7 +55,7 @@ class TestRunSurveillance:
     def test_zero_llr_outcomes_never_signal_maxsprt(self):
         series = {"low": [1, 3, 6], **null_control_series(4, 3, seed=2)}
         result = run_surveillance(
-            poisson_schedule(), poisson_looks(series), [k for k in series if k != "low"], MC
+            poisson_schedule(), poisson_looks(series), [k for k in series if k != "low"]
         )
         outcome = result.outcomes["low"]
         assert outcome.first_signal_look["uncal_maxsprt"] is None
@@ -74,7 +72,7 @@ class TestRunSurveillance:
         }
         schedule = poisson_schedule(n_looks=n_looks, e=e)
         looks = poisson_looks(series, e=e)
-        result = run_surveillance(schedule, looks, [], MC, modes=("uncal_p", "uncal_maxsprt"))
+        result = run_surveillance(schedule, looks, [], modes=("uncal_p", "uncal_maxsprt"))
         fraction_p = np.mean(
             [result.outcomes[o].first_signal_look["uncal_p"] is not None for o in series]
         )
@@ -92,7 +90,7 @@ class TestRunSurveillance:
             surveillance_module, "fit_error_model", lambda profiles: ErrorModel(0.0, 0.0)
         )
         result = run_surveillance(
-            poisson_schedule(), poisson_looks(series), controls, MC, leave_one_out=False
+            poisson_schedule(), poisson_looks(series), controls, leave_one_out=False
         )
         for outcome in result.outcomes.values():
             assert outcome.first_signal_look["cal_p"] == outcome.first_signal_look["uncal_p"]
@@ -106,7 +104,7 @@ class TestRunSurveillance:
     def test_leave_one_out_excludes_own_profile(self):
         series = null_control_series(6, 2, seed=4)
         result = run_surveillance(
-            poisson_schedule(n_looks=2), poisson_looks(series), list(series), MC
+            poisson_schedule(n_looks=2), poisson_looks(series), list(series)
         )
         for outcome in result.outcomes.values():
             for rec in outcome.looks:
@@ -119,7 +117,6 @@ class TestRunSurveillance:
             poisson_schedule(n_looks=2),
             poisson_looks(series),
             list(series),
-            MC,
             leave_one_out=False,
         )
         for outcome in result.outcomes.values():
@@ -131,8 +128,8 @@ class TestRunSurveillance:
         series = {"a": [6, 13, 21], **null_control_series(5, 3, seed=6)}
         looks = poisson_looks(series)
         controls = [k for k in series if k != "a"]
-        full = run_surveillance(poisson_schedule(), looks, controls, MC)
-        truncated = run_surveillance(poisson_schedule(), copy.deepcopy(looks[:2]), controls, MC)
+        full = run_surveillance(poisson_schedule(), looks, controls)
+        truncated = run_surveillance(poisson_schedule(), copy.deepcopy(looks[:2]), controls)
         for oid, outcome in truncated.outcomes.items():
             assert outcome.looks == full.outcomes[oid].looks[:2]
 
@@ -140,17 +137,17 @@ class TestRunSurveillance:
         series = null_control_series(3, 2, seed=7)
         looks = poisson_looks(series)
         with pytest.raises(ProtocolError):
-            run_surveillance(poisson_schedule(n_looks=2), looks[::-1], list(series), MC)
+            run_surveillance(poisson_schedule(n_looks=2), looks[::-1], list(series))
 
     def test_look_beyond_schedule_rejected(self):
         series = null_control_series(3, 3, seed=8)
         with pytest.raises(ProtocolError):
-            run_surveillance(poisson_schedule(n_looks=2), poisson_looks(series), list(series), MC)
+            run_surveillance(poisson_schedule(n_looks=2), poisson_looks(series), list(series))
 
     def test_calibrated_mode_requires_controls(self):
         series = {"a": [5, 10]}
         with pytest.raises(ValueError):
-            run_surveillance(poisson_schedule(n_looks=2), poisson_looks(series), [], MC)
+            run_surveillance(poisson_schedule(n_looks=2), poisson_looks(series), [])
 
     def test_uncalibrated_modes_run_without_controls(self):
         series = {"a": [5, 10]}
@@ -158,7 +155,6 @@ class TestRunSurveillance:
             poisson_schedule(n_looks=2),
             poisson_looks(series),
             [],
-            MC,
             modes=("uncal_p", "uncal_maxsprt"),
         )
         assert set(result.outcomes) == {"a"}
@@ -167,14 +163,14 @@ class TestRunSurveillance:
         series = {"a": [5, 10]}
         with pytest.raises(ValueError):
             run_surveillance(
-                poisson_schedule(n_looks=2), poisson_looks(series), [], MC, modes=("bogus",)
+                poisson_schedule(n_looks=2), poisson_looks(series), [], modes=("bogus",)
             )
 
     def test_no_error_model_available_at_first_look(self):
         # single informative control cannot support a fit and nothing to fall back on
         series = {"nc-0": [5, 10], "a": [5, 10]}
         with pytest.raises(FitError):
-            run_surveillance(poisson_schedule(n_looks=2), poisson_looks(series), ["nc-0"], MC)
+            run_surveillance(poisson_schedule(n_looks=2), poisson_looks(series), ["nc-0"])
 
     def test_fallback_to_previous_fit_and_flagged(self):
         # binomial controls informative at look 1; at look 2 one hits
@@ -200,7 +196,7 @@ class TestRunSurveillance:
                 },
             ),
         ]
-        result = run_surveillance(schedule, looks, ["nc-0", "nc-1"], MC)
+        result = run_surveillance(schedule, looks, ["nc-0", "nc-1"])
         assert result.fallback_looks == [2]
         look1_model = result.outcomes["x"].looks[0].error_model
         look2_model = result.outcomes["x"].looks[1].error_model
@@ -212,7 +208,7 @@ class TestRunSurveillance:
             LookObservation(1, {"a": PoissonCounts(7, 5.0), "nc-0": PoissonCounts(5, 5.0), "nc-1": PoissonCounts(4, 5.0)}),
             LookObservation(2, {"nc-0": PoissonCounts(9, 10.0), "nc-1": PoissonCounts(11, 10.0)}),
         ]
-        result = run_surveillance(schedule, looks, ["nc-0", "nc-1"], MC, leave_one_out=False)
+        result = run_surveillance(schedule, looks, ["nc-0", "nc-1"], leave_one_out=False)
         records = result.outcomes["a"].looks
         assert len(records) == 2
         assert records[1].llr == records[0].llr
@@ -230,7 +226,7 @@ class TestRunSurveillance:
                 },
             ),
         ]
-        result = run_surveillance(schedule, looks, ["nc-0", "nc-1"], MC, leave_one_out=False)
+        result = run_surveillance(schedule, looks, ["nc-0", "nc-1"], leave_one_out=False)
         records = result.outcomes["late"].looks
         assert len(records) == 2
         assert records[0].informative is False and records[0].llr is None
@@ -242,14 +238,14 @@ class TestRunSurveillance:
             LookObservation(2, {"a": PoissonCounts(4, 10.0)}),
         ]
         with pytest.raises(ValueError):
-            run_surveillance(schedule, looks, [], MC, modes=("uncal_p",))
+            run_surveillance(schedule, looks, [], modes=("uncal_p",))
 
 
 class TestType1Report:
     def test_counts_signaling_fraction(self):
         series = null_control_series(3, 2, seed=9)
         result = run_surveillance(
-            poisson_schedule(n_looks=2), poisson_looks(series), list(series), MC
+            poisson_schedule(n_looks=2), poisson_looks(series), list(series)
         )
         # rewrite the signal bookkeeping to a known configuration
         ids = sorted(series)
@@ -266,7 +262,6 @@ class TestType1Report:
             poisson_schedule(n_looks=2),
             poisson_looks(series),
             [],
-            MC,
             modes=("uncal_p",),
         )
         with pytest.raises(ValueError):
