@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errormodel import ErrorModel
 from .likelihood import GridProfile, NormalApprox
@@ -41,23 +41,7 @@ __all__ = [
     "write_type1_summary",
 ]
 
-_RESULT_COLUMNS = [
-    "outcome_id",
-    "look",
-    "is_negative_control",
-    "informative",
-    "beta_hat",
-    "se",
-    "llr",
-    "p_uncalibrated",
-    "p_calibrated",
-    "cv",
-    "cv_calibrated",
-    "signal_uncal_p",
-    "signal_uncal_maxsprt",
-    "signal_cal_p",
-    "signal_cal_maxsprt",
-]
+_Parser = Callable[[str], object]
 
 
 class FileFormatError(ValueError):
@@ -78,60 +62,99 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _parse_float(text: str, column: str, line: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise FileFormatError(f"column {column}: not a number: {text!r}", line) from None
+def _true_false(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return text == "true"
 
 
-def _parse_int(text: str, column: str, line: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise FileFormatError(f"column {column}: not an integer: {text!r}", line) from None
+def _optional(parse: _Parser) -> _Parser:
+    """The parser that reads an empty field as None and any other through parse."""
+    return lambda text: None if text == "" else parse(text)
 
 
-def _parse_bool(text: str, column: str, line: int) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise FileFormatError(f"column {column}: expected true/false, got {text!r}", line)
+_optional_float = _optional(float)
 
-
-def _parse_optional_float(text: str, column: str, line: int) -> float | None:
-    return None if text == "" else _parse_float(text, column, line)
+_RESULT_COLUMNS: dict[str, _Parser] = {
+    "outcome_id": str,
+    "look": int,
+    "is_negative_control": _true_false,
+    "informative": _true_false,
+    "beta_hat": _optional_float,
+    "se": _optional_float,
+    "llr": _optional_float,
+    "p_uncalibrated": _optional_float,
+    "p_calibrated": _optional_float,
+    "cv": _optional_float,
+    "cv_calibrated": _optional_float,
+    "signal_uncal_p": _optional(_true_false),
+    "signal_uncal_maxsprt": _optional(_true_false),
+    "signal_cal_p": _optional(_true_false),
+    "signal_cal_maxsprt": _optional(_true_false),
+}
 
 
 def _read_table(
-    f: TextIO, required: Sequence[str], optional: Sequence[str] = ()
-) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
-    """Parse comment-aware CSV; returns (header, [(line_number, row_dict)])."""
-    header: list[str] | None = None
-    rows: list[tuple[int, dict[str, str]]] = []
-    for line_number, raw in enumerate(f, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = next(csv.reader([line]))
-        if header is None:
-            header = [c.strip() for c in fields]
-            missing = [c for c in required if c not in header]
-            if missing:
-                raise FileFormatError(f"missing columns: {missing}", line_number)
-            unknown = [c for c in header if c not in (*required, *optional)]
-            if unknown:
-                raise FileFormatError(f"unknown columns: {unknown}", line_number)
-            continue
-        if len(fields) != len(header):
-            raise FileFormatError(
-                f"expected {len(header)} fields, got {len(fields)}", line_number
-            )
-        rows.append((line_number, dict(zip(header, fields))))
-    if header is None:
+    f: TextIO, schema: Mapping[str, _Parser], optional: Mapping[str, object] | None = None
+) -> Iterator[tuple[int, dict[str, object]]]:
+    """Yield (line number, {column: parsed value}) for each data row.
+
+    Blank and `#` comment lines are skipped. The header must name each
+    schema column once and no other column; a column in optional may be
+    absent, and every row then holds its default value. A field its
+    column's parser rejects with ValueError raises FileFormatError at its
+    line.
+    """
+    optional = optional or {}
+    line = 0
+
+    def data_lines() -> Iterator[str]:
+        nonlocal line  # the physical number of the line last handed to the reader
+        for line, raw in enumerate(f, start=1):
+            if raw.strip() and not raw.lstrip().startswith("#"):
+                yield raw
+
+    reader = csv.reader(data_lines())
+    fields = next(reader, None)
+    if fields is None:
         raise FileFormatError("no header row found")
-    return header, rows
+    header = [c.strip() for c in fields]
+    duplicated = sorted({c for c in header if header.count(c) > 1})
+    if duplicated:
+        raise FileFormatError(f"duplicate columns: {duplicated}", line)
+    missing = [c for c in schema if c not in header and c not in optional]
+    if missing:
+        raise FileFormatError(f"missing columns: {missing}", line)
+    unknown = [c for c in header if c not in schema]
+    if unknown:
+        raise FileFormatError(f"unknown columns: {unknown}", line)
+    columns = [(c, schema[c]) for c in header]
+    absent = {c: v for c, v in optional.items() if c not in header}
+    for fields in reader:
+        if len(fields) != len(columns):
+            raise FileFormatError(f"expected {len(columns)} fields, got {len(fields)}", line)
+        row = dict(absent)
+        for (column, parse), text in zip(columns, fields):
+            try:
+                row[column] = parse(text)
+            except ValueError as exc:
+                raise FileFormatError(f"column {column}: {exc}", line) from None
+        yield line, row
+
+
+def _build(line: int, make: Callable[..., object], *args, **kwargs):
+    """make(*args, **kwargs), its ValueError raised as FileFormatError at line."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise FileFormatError(str(exc), line) from None
+
+
+def _single_record(rows: Iterable[tuple[int, dict[str, object]]]) -> tuple[int, dict[str, object]]:
+    rows = list(rows)
+    if len(rows) != 1:
+        raise FileFormatError(f"expected exactly one record, got {len(rows)}")
+    return rows[0]
 
 
 def _write_header(f: TextIO, kind: str, provenance: Mapping[str, object] | None) -> None:
@@ -152,22 +175,11 @@ def _write_rows(f: TextIO, columns: Sequence[str], rows: Iterable[Sequence[objec
 
 def read_estimates(f: TextIO) -> list[NormalApprox]:
     """Columns: outcome_id, log_rr, se_log_rr."""
-    _, rows = _read_table(f, ["outcome_id", "log_rr", "se_log_rr"])
-    profiles = []
-    for line, row in rows:
-        try:
-            profiles.append(
-                NormalApprox(
-                    point_estimate=_parse_float(row["log_rr"], "log_rr", line),
-                    standard_error=_parse_float(row["se_log_rr"], "se_log_rr", line),
-                    outcome_id=row["outcome_id"],
-                )
-            )
-        except ValueError as exc:
-            if isinstance(exc, FileFormatError):
-                raise
-            raise FileFormatError(str(exc), line) from None
-    return profiles
+    rows = _read_table(f, {"outcome_id": str, "log_rr": float, "se_log_rr": float})
+    return [
+        _build(line, NormalApprox, row["log_rr"], row["se_log_rr"], row["outcome_id"])
+        for line, row in rows
+    ]
 
 
 def write_estimates(
@@ -183,20 +195,16 @@ def write_estimates(
 
 def read_grid_profiles(f: TextIO) -> list[GridProfile]:
     """Columns: outcome_id, log_rr_grid_point, log_likelihood (rows grouped per outcome)."""
-    _, rows = _read_table(f, ["outcome_id", "log_rr_grid_point", "log_likelihood"])
-    grouped: dict[str, tuple[list[float], list[float], int]] = {}
-    for line, row in rows:
-        oid = row["outcome_id"]
-        xs, lls, first_line = grouped.setdefault(oid, ([], [], line))
-        xs.append(_parse_float(row["log_rr_grid_point"], "log_rr_grid_point", line))
-        lls.append(_parse_float(row["log_likelihood"], "log_likelihood", line))
-    profiles = []
-    for oid, (xs, lls, first_line) in grouped.items():
-        try:
-            profiles.append(GridProfile(xs, lls, outcome_id=oid))
-        except ValueError as exc:
-            raise FileFormatError(f"outcome {oid}: {exc}", first_line) from None
-    return profiles
+    schema = {"outcome_id": str, "log_rr_grid_point": float, "log_likelihood": float}
+    grouped: dict[str, tuple[int, list[float], list[float]]] = {}
+    for line, row in _read_table(f, schema):
+        _, xs, lls = grouped.setdefault(row["outcome_id"], (line, [], []))
+        xs.append(row["log_rr_grid_point"])
+        lls.append(row["log_likelihood"])
+    return [
+        _build(first_line, GridProfile, xs, lls, outcome_id=oid)
+        for oid, (first_line, xs, lls) in grouped.items()
+    ]
 
 
 # ----------------------------------------------------------------- schedule
@@ -204,35 +212,28 @@ def read_grid_profiles(f: TextIO) -> list[GridProfile]:
 
 def read_schedule(f: TextIO) -> LookSchedule:
     """Columns: model, t, e_t, p, alpha; model, p, alpha constant across rows."""
-    _, rows = _read_table(f, ["model", "t", "e_t", "p", "alpha"])
+    schema = {"model": str, "t": int, "e_t": float, "p": _optional_float, "alpha": float}
+    rows = list(_read_table(f, schema))
     if not rows:
         raise FileFormatError("schedule has no looks")
-    models = {row["model"] for _, row in rows}
-    alphas = {row["alpha"] for _, row in rows}
-    ps = {row["p"] for _, row in rows}
-    if len(models) != 1 or len(alphas) != 1 or len(ps) != 1:
-        raise FileFormatError("model, p, and alpha must be constant across rows", rows[0][0])
+    line0, row0 = rows[0]
+    if len({(row["model"], row["p"], row["alpha"]) for _, row in rows}) != 1:
+        raise FileFormatError("model, p, and alpha must be constant across rows", line0)
     increments: dict[int, float] = {}
     for line, row in rows:
-        t = _parse_int(row["t"], "t", line)
-        if t in increments:
-            raise FileFormatError(f"duplicate look {t}", line)
-        increments[t] = _parse_float(row["e_t"], "e_t", line)
+        if row["t"] in increments:
+            raise FileFormatError(f"duplicate look {row['t']}", line)
+        increments[row["t"]] = row["e_t"]
     if sorted(increments) != list(range(1, len(increments) + 1)):
-        raise FileFormatError("looks must be numbered 1..T without gaps", rows[0][0])
-    line0, row0 = rows[0]
-    p_text = row0["p"]
-    try:
-        return LookSchedule(
-            expected_increments=tuple(increments[t] for t in sorted(increments)),
-            alpha=_parse_float(row0["alpha"], "alpha", line0),
-            model=row0["model"],
-            exposure_proportion=_parse_optional_float(p_text, "p", line0),
-        )
-    except ValueError as exc:
-        if isinstance(exc, FileFormatError):
-            raise
-        raise FileFormatError(str(exc), line0) from None
+        raise FileFormatError("looks must be numbered 1..T without gaps", line0)
+    return _build(
+        line0,
+        LookSchedule,
+        expected_increments=tuple(increments[t] for t in sorted(increments)),
+        alpha=row0["alpha"],
+        model=row0["model"],
+        exposure_proportion=row0["p"],
+    )
 
 
 def write_schedule(
@@ -258,26 +259,9 @@ def read_looks(f: TextIO) -> list[dict[str, object]]:
     Returns one dict per row; cumulative_total is None when the column is
     absent or empty (Poisson data).
     """
-    header, rows = _read_table(
-        f, ["outcome_id", "look", "cumulative_observed"], optional=["cumulative_total"]
-    )
-    has_total = "cumulative_total" in header
-    out = []
-    for line, row in rows:
-        total_text = row.get("cumulative_total", "") if has_total else ""
-        out.append(
-            {
-                "outcome_id": row["outcome_id"],
-                "look": _parse_int(row["look"], "look", line),
-                "cumulative_observed": _parse_int(
-                    row["cumulative_observed"], "cumulative_observed", line
-                ),
-                "cumulative_total": (
-                    None if total_text == "" else _parse_int(total_text, "cumulative_total", line)
-                ),
-            }
-        )
-    return out
+    schema = {"outcome_id": str, "look": int, "cumulative_observed": int,
+              "cumulative_total": _optional(int)}
+    return [row for _, row in _read_table(f, schema, optional={"cumulative_total": None})]
 
 
 def write_looks(
@@ -294,8 +278,7 @@ def write_looks(
 
 def read_controls(f: TextIO) -> list[str]:
     """Column: outcome_id."""
-    _, rows = _read_table(f, ["outcome_id"])
-    return [row["outcome_id"] for _, row in rows]
+    return [row["outcome_id"] for _, row in _read_table(f, {"outcome_id": str})]
 
 
 # ------------------------------------------------------------------ records
@@ -307,28 +290,10 @@ def read_error_model(f: TextIO) -> ErrorModel:
     Records written before n_excluded was recorded lack the column; they
     read as n_excluded 0.
     """
-    header, rows = _read_table(
-        f, ["mean", "sd", "n_controls", "converged"], optional=["n_excluded"]
-    )
-    if len(rows) != 1:
-        raise FileFormatError(f"expected exactly one record, got {len(rows)}")
-    line, row = rows[0]
-    try:
-        return ErrorModel(
-            mean=_parse_float(row["mean"], "mean", line),
-            sd=_parse_float(row["sd"], "sd", line),
-            n_controls=_parse_int(row["n_controls"], "n_controls", line),
-            converged=_parse_bool(row["converged"], "converged", line),
-            n_excluded=(
-                _parse_int(row["n_excluded"], "n_excluded", line)
-                if "n_excluded" in header
-                else 0
-            ),
-        )
-    except ValueError as exc:
-        if isinstance(exc, FileFormatError):
-            raise
-        raise FileFormatError(str(exc), line) from None
+    schema = {"mean": float, "sd": float, "n_controls": int, "converged": _true_false,
+              "n_excluded": int}
+    line, row = _single_record(_read_table(f, schema, optional={"n_excluded": 0}))
+    return _build(line, ErrorModel, **row)
 
 
 def write_error_model(
@@ -344,14 +309,8 @@ def write_error_model(
 
 def read_cv_record(f: TextIO) -> CriticalValueResult:
     """Columns: cv, attained_alpha (single record)."""
-    _, rows = _read_table(f, ["cv", "attained_alpha"])
-    if len(rows) != 1:
-        raise FileFormatError(f"expected exactly one record, got {len(rows)}")
-    line, row = rows[0]
-    return CriticalValueResult(
-        cv=_parse_float(row["cv"], "cv", line),
-        attained_alpha=_parse_float(row["attained_alpha"], "attained_alpha", line),
-    )
+    _, row = _single_record(_read_table(f, {"cv": float, "attained_alpha": float}))
+    return CriticalValueResult(**row)
 
 
 def write_cv_record(
@@ -396,36 +355,7 @@ def write_results_table(
 
 
 def read_results_table(f: TextIO) -> list[dict[str, object]]:
-    _, rows = _read_table(f, _RESULT_COLUMNS)
-    out = []
-    for line, row in rows:
-        parsed: dict[str, object] = {
-            "outcome_id": row["outcome_id"],
-            "look": _parse_int(row["look"], "look", line),
-            "is_negative_control": _parse_bool(
-                row["is_negative_control"], "is_negative_control", line
-            ),
-            "informative": _parse_bool(row["informative"], "informative", line),
-        }
-        for col in (
-            "beta_hat",
-            "se",
-            "llr",
-            "p_uncalibrated",
-            "p_calibrated",
-            "cv",
-            "cv_calibrated",
-        ):
-            parsed[col] = _parse_optional_float(row[col], col, line)
-        for col in (
-            "signal_uncal_p",
-            "signal_uncal_maxsprt",
-            "signal_cal_p",
-            "signal_cal_maxsprt",
-        ):
-            parsed[col] = None if row[col] == "" else _parse_bool(row[col], col, line)
-        out.append(parsed)
-    return out
+    return [row for _, row in _read_table(f, _RESULT_COLUMNS)]
 
 
 def write_type1_summary(
@@ -437,11 +367,8 @@ def write_type1_summary(
 
 
 def read_type1_summary(f: TextIO) -> dict[str, float]:
-    _, rows = _read_table(f, ["mode", "signal_fraction"])
-    return {
-        row["mode"]: _parse_float(row["signal_fraction"], "signal_fraction", line)
-        for line, row in rows
-    }
+    rows = _read_table(f, {"mode": str, "signal_fraction": float})
+    return {row["mode"]: row["signal_fraction"] for _, row in rows}
 
 
 # --------------------------------------------------------------- simulation
@@ -462,21 +389,13 @@ def write_simulation_rows(
 
 
 def read_simulation_rows(f: TextIO) -> list[ErrorRateReport]:
-    _, rows = _read_table(f, ["scenario", "repeat", "mode", "effect_size", "rate_type", "value"])
+    schema = {"scenario": str, "repeat": int, "mode": str, "effect_size": float,
+              "rate_type": str, "value": float}
     by_scenario: dict[str, ErrorRateReport] = {}
-    for line, row in rows:
-        report = by_scenario.setdefault(
-            row["scenario"], ErrorRateReport(scenario=row["scenario"])
-        )
-        report.rows.append(
-            ErrorRateRow(
-                repeat=_parse_int(row["repeat"], "repeat", line),
-                mode=row["mode"],
-                effect_size=_parse_float(row["effect_size"], "effect_size", line),
-                rate_type=row["rate_type"],
-                value=_parse_float(row["value"], "value", line),
-            )
-        )
+    for _, row in _read_table(f, schema):
+        scenario = row.pop("scenario")
+        report = by_scenario.setdefault(scenario, ErrorRateReport(scenario=scenario))
+        report.rows.append(ErrorRateRow(**row))
     return list(by_scenario.values())
 
 

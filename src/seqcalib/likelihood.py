@@ -233,35 +233,24 @@ def count_log_likelihood(beta, observed, null_value, offset, total=None):
     return observed * np.log(q) + (total - observed) * np.log1p(-q)
 
 
-def profile_from_counts(
-    data: CountData,
-    *,
-    lower: float = GRID_LOWER,
-    upper: float = GRID_UPPER,
-    points: int = GRID_POINTS,
-    outcome_id: str = "",
-) -> GridProfile:
+def profile_from_counts(data: CountData, *, outcome_id: str = "") -> GridProfile:
     """Tabulate the log-likelihood of the log effect size for one outcome's counts.
 
-    The default grid covers [-4, 4]; it is widened automatically when the analytic
-    MLE falls near or beyond an endpoint, so the maximum is always interior.
+    The grid has GRID_POINTS points over [GRID_LOWER, GRID_UPPER]; it is widened
+    automatically when the analytic MLE falls near or beyond an endpoint, so the
+    maximum is always interior.
 
     Raises:
         UninformativeProfileError: Zero events (Poisson), or all/none of the
             events exposed (binomial), where no interior maximum exists.
     """
-    if points < 3:
-        raise ValueError("points must be at least 3")
-    if not lower < upper:
-        raise ValueError("lower must be below upper")
-
     if isinstance(data, PoissonCounts):
         if data.observed == 0:
             raise UninformativeProfileError("no events observed; likelihood has no interior maximum")
         mle = math.log(data.observed / data.expected)
-        lo = min(lower, mle - _GRID_MARGIN)
-        hi = max(upper, mle + _GRID_MARGIN)
-        beta = np.linspace(lo, hi, points)
+        lo = min(GRID_LOWER, mle - _GRID_MARGIN)
+        hi = max(GRID_UPPER, mle + _GRID_MARGIN)
+        beta = np.linspace(lo, hi, GRID_POINTS)
         ll = count_log_likelihood(beta, data.observed, data.expected, data.offset)
     elif isinstance(data, BinomialCounts):
         if data.exposed == 0 or data.exposed == data.total:
@@ -270,9 +259,9 @@ def profile_from_counts(
             )
         o, n, p = data.exposed, data.total, data.null_proportion
         mle = math.log((o / (n - o)) * (1.0 - p) / p)
-        lo = min(lower, mle - _GRID_MARGIN)
-        hi = max(upper, mle + _GRID_MARGIN)
-        beta = np.linspace(lo, hi, points)
+        lo = min(GRID_LOWER, mle - _GRID_MARGIN)
+        hi = max(GRID_UPPER, mle + _GRID_MARGIN)
+        beta = np.linspace(lo, hi, GRID_POINTS)
         ll = count_log_likelihood(beta, o, p, data.offset, total=n)
     else:
         raise TypeError(f"unsupported count data: {type(data).__name__}")

@@ -21,14 +21,14 @@ through log-gamma, which limits alpha's accuracy to about 1e-13 at a
 thousand counts and 1e-10 at a hundred thousand. Counts are supported up to
 _MAX_COUNTS.
 
-The calibrated variant shifts each look's null by a systematic error
-b_t = mean_t + sd * z, where the standard-normal innovation z is shared by
-all looks of an outcome (rate multiplier exp(b_t) for Poisson, odds
+The calibrated variant shifts the null of every look by one systematic
+error b = mean + sd * z, where the standard-normal innovation z is shared by
+all looks of an outcome (rate multiplier exp(b) for Poisson, odds
 multiplier for binomial), while the LLR is still evaluated against the
-unadjusted null. Because the looks share the sd, the likelihood ratio of a
-count path under z against z = 0 depends on the path only through its final
-count, so the recursion runs once and each final count's surviving mass is
-weighted by that ratio integrated over z with Gauss-Hermite quadrature.
+unadjusted null. The likelihood ratio of a count path under z against
+z = 0 then depends on the path only through its final count, so the
+recursion runs once and each final count's surviving mass is weighted by
+that ratio integrated over z with Gauss-Hermite quadrature.
 With sd 0 the weight is exactly 1, so a (0, 0) model runs the uncalibrated
 computation itself.
 """
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import expit, gammaln, logsumexp, xlog1py, xlogy
@@ -162,25 +161,12 @@ class CriticalValueResult:
     attained_alpha: float
 
 
-def _normalize_models(
-    models: ErrorModel | Sequence[ErrorModel], n_looks: int
-) -> list[ErrorModel]:
-    if isinstance(models, ErrorModel):
-        return [models] * n_looks
-    models = list(models)
-    if len(models) == 1:
-        return models * n_looks
-    if len(models) != n_looks:
-        raise ValueError(f"need 1 or {n_looks} error models, got {len(models)}")
-    return models
-
-
 class _NullRecursion:
-    """Exceedance probability of any candidate cv for one schedule and bias models.
+    """Exceedance probability of any candidate cv for one schedule and bias model.
 
-    Looks share one sd, so conditional on the innovation z the null at every
-    look is the mean-shifted null tilted by exp(sd * z) on the rate or odds
-    scale, and the likelihood ratio of a count path under z against a base
+    Conditional on the innovation z the null at every look is the
+    mean-shifted null tilted by exp(sd * z) on the rate or odds scale, and
+    the likelihood ratio of a count path under z against a base
     innovation z_r depends on the path only through its final cumulative
     count x. The recursion therefore runs under a few base innovations
     (rows), and the mass surviving at x is weighted by that ratio integrated
@@ -195,12 +181,9 @@ class _NullRecursion:
     at the next look the pooled distribution can cross.
     """
 
-    def __init__(self, schedule: LookSchedule, models: list[ErrorModel]) -> None:
-        sds = {m.sd for m in models}
-        if len(sds) > 1:
-            raise ValueError("per-look error models must share one sd")
-        self.sd = sds.pop()
-        self.mean = np.array([m.mean for m in models])
+    def __init__(self, schedule: LookSchedule, model: ErrorModel) -> None:
+        self.sd = model.sd
+        self.mean = model.mean
         self.poisson = schedule.model == "poisson"
         if self.poisson:
             self.increments = np.asarray(schedule.expected_increments)
@@ -212,17 +195,13 @@ class _NullRecursion:
             p = self.p = schedule.exposure_proportion
             self.increments = schedule.binomial_trials()
             self.cumulative = np.cumsum(self.increments)
-            looks = np.stack([self.increments, math.log(p / (1.0 - p)) + self.mean], axis=1)
-            groups, multiplicity = np.unique(looks, axis=0, return_counts=True)
-            self.trials = (groups[:, 0] * multiplicity)[:, None]  # looks alike share a term
-            self.log_odds = groups[:, 1][:, None]
+            groups, multiplicity = np.unique(self.increments, return_counts=True)
+            self.trials = (groups * multiplicity)[:, None]  # looks alike share a term
+            self.log_odds = math.log(p / (1.0 - p)) + self.mean
             self.cap = int(self.cumulative[-1]) + 1
             null_mean = self.cumulative * p
         # per look, a count whose LLR is 0, so that every cv keeps it
         self._floor = np.maximum(np.floor(null_mean).astype(np.int64) - 1, 0)
-        # looks with equal increments and means share one increment pmf
-        keys = list(zip(self.increments.tolist(), self.mean.tolist()))
-        self.pmf_of_look = [keys.index(key) for key in keys]
         self._limits: dict[float, np.ndarray] = {}
         self._modes = self._log_weights = np.zeros(0)
         self._resize(min(2 * int(null_mean[-1]) + 16, self.cap, _MAX_COUNTS))
@@ -234,7 +213,7 @@ class _NullRecursion:
         if self.poisson:
             rate = self.rate * np.exp(s * z)
             return s * z * x - (rate - self.rate), s * (x - rate), -s * s * rate
-        u = self.log_odds + s * z  # looks alike x counts
+        u = self.log_odds + s * z
         q = expit(u)
         survive = self.trials * (np.logaddexp(0.0, u) - np.logaddexp(0.0, self.log_odds))
         return (
@@ -316,7 +295,7 @@ class _NullRecursion:
         self.used = np.flatnonzero(largest > math.exp(_LOG_DROP))
         self.log_tol = _LOG_DROP - np.log(np.maximum(largest, 1.0))
         # mean and variance of the count accrued by each look, per row
-        shift = self.mean[:, None] + self.sd * self.rows[None, :]
+        shift = self.mean + self.sd * self.rows
         if self.poisson:
             mean = variance = self.increments[:, None] * np.exp(shift)
         else:
@@ -326,7 +305,7 @@ class _NullRecursion:
         start = np.zeros((1, self.rows.size))
         self._accrued = np.cumsum(np.vstack([start, mean]), axis=0)
         self._spread = np.cumsum(np.vstack([start, variance]), axis=0)
-        self._pmfs: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+        self._pmfs: dict[tuple[int, float], tuple[int, np.ndarray]] = {}
 
     def _llr(self, looks: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """LLR at each given look of the cumulative count given with it."""
@@ -369,30 +348,27 @@ class _NullRecursion:
         it at either end are trimmed.
         """
         single = len(looks) == 1
-        key = (row, self.pmf_of_look[looks.start])
+        key = (row, float(self.increments[looks.start]))  # looks alike share a pmf
         if single and key in self._pmfs:
             return self._pmfs[key]
         log_tol = self.log_tol[row]
-        shift = self.mean[looks.start : looks.stop] + self.sd * self.rows[row]
+        shift = self.mean + self.sd * self.rows[row]
         increments = self.increments[looks.start : looks.stop]
         if self.poisson:
             rate = float((increments * np.exp(shift)).sum())
             first, last = _support(rate, rate, log_tol)
             k = np.arange(first, last + 1)
-            pmf = np.exp(xlogy(k, rate) - rate - gammaln(k + 1))
+            log_pmf = xlogy(k, rate) - rate - gammaln(k + 1)
         else:
-            q_of_look = tilted_proportion(self.p, shift)
-            first, pmf = 0, np.ones(1)
-            for q in np.unique(q_of_look):
-                n = int(increments[q_of_look == q].sum())
-                lo, hi = _support(n * q, n * q * (1.0 - q), log_tol)
-                k = np.arange(lo, min(hi, n) + 1)
-                log_pmf = (
-                    gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-                    + xlogy(k, q) + xlog1py(n - k, -q)
-                )
-                first, pmf = first + lo, np.convolve(pmf, np.exp(log_pmf))
-        first, pmf = _trim(first, pmf, math.exp(log_tol))
+            q = tilted_proportion(self.p, shift)
+            n = int(increments.sum())
+            first, last = _support(n * q, n * q * (1.0 - q), log_tol)
+            k = np.arange(first, min(last, n) + 1)
+            log_pmf = (
+                gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                + xlogy(k, q) + xlog1py(n - k, -q)
+            )
+        first, pmf = _trim(first, np.exp(log_pmf), math.exp(log_tol))
         if single and pmf.size <= 4096:
             self._pmfs[key] = first, pmf
         return first, pmf
@@ -459,7 +435,7 @@ class _NullRecursion:
         return np.unique(self._llr(looks, counts))
 
 
-def _exact_cv(schedule: LookSchedule, models: list[ErrorModel]) -> CriticalValueResult:
+def _exact_cv(schedule: LookSchedule, model: ErrorModel) -> CriticalValueResult:
     """Smallest attainable LLR value c with alpha(c) <= alpha.
 
     Starts from a value that the final look alone puts below the cv and
@@ -468,7 +444,7 @@ def _exact_cv(schedule: LookSchedule, models: list[ErrorModel]) -> CriticalValue
     falsi on log alpha with the Illinois rule (an end kept twice in a row
     has its log-alpha excess halved).
     """
-    null = _NullRecursion(schedule, models)
+    null = _NullRecursion(schedule, model)
     alpha = schedule.alpha
     target = math.log(alpha)
     lo = null.final_look_floor(alpha)
@@ -521,24 +497,21 @@ def compute_cv(schedule: LookSchedule, mc: MonteCarloConfig | None = None) -> Cr
     signaling compares LLR > cv. mc is accepted and ignored. Raises
     CriticalValueError when the counts reach beyond _MAX_COUNTS.
     """
-    return _exact_cv(schedule, [ErrorModel(0.0, 0.0)] * schedule.n_looks)
+    return _exact_cv(schedule, ErrorModel(0.0, 0.0))
 
 
 def compute_calibrated_cv(
-    schedule: LookSchedule,
-    models: ErrorModel | Sequence[ErrorModel],
-    mc: MonteCarloConfig | None = None,
+    schedule: LookSchedule, model: ErrorModel, mc: MonteCarloConfig | None = None
 ) -> CriticalValueResult:
     """Exact critical value under a null that includes the fitted systematic error.
 
-    One standard-normal bias innovation is shared by all looks and scaled at
-    every look by that look's error model (a single model is broadcast to
-    all looks), so the bias is held fixed across an outcome's trajectory.
-    Counts follow the tilted null while the LLR is still computed against
-    the unadjusted expectations. Per-look models must share one sd, because
-    only then does the shared innovation factor out of a count path's
-    likelihood ratio: a list whose sds differ raises ValueError. mc is
-    accepted and ignored. Raises CriticalValueError when the counts reach
-    beyond _MAX_COUNTS or the model is too wide for the base rows.
+    The bias mean + sd * z, with one standard-normal innovation z shared by
+    all looks, is held fixed across an outcome's trajectory. Counts follow
+    the tilted null while the LLR is still computed against the unadjusted
+    expectations. mc is accepted and ignored. Raises TypeError unless model
+    is one ErrorModel, and CriticalValueError when the counts reach beyond
+    _MAX_COUNTS or the model is too wide for the base rows.
     """
-    return _exact_cv(schedule, _normalize_models(models, schedule.n_looks))
+    if not isinstance(model, ErrorModel):
+        raise TypeError(f"expected one ErrorModel, got {type(model).__name__}")
+    return _exact_cv(schedule, model)

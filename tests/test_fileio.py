@@ -40,10 +40,16 @@ class TestEstimates:
         with pytest.raises(fileio.FileFormatError):
             fileio.read_estimates(io.StringIO(text))
 
+    def test_duplicate_column_rejected_at_header(self):
+        text = "# seqcalib estimates v1\noutcome_id,log_rr,se_log_rr,log_rr\na,0.1,0.2,0.3\n"
+        with pytest.raises(fileio.FileFormatError, match="duplicate columns") as err:
+            fileio.read_estimates(io.StringIO(text))
+        assert err.value.line == 2
+
 
 class TestGridProfiles:
     def test_roundtrip_via_rows(self):
-        profile = profile_from_counts(PoissonCounts(10, 5), points=5, outcome_id="g1")
+        profile = profile_from_counts(PoissonCounts(10, 5), outcome_id="g1")
         buf = io.StringIO()
         buf.write("# seqcalib grid-profiles v1\n")
         buf.write("outcome_id,log_rr_grid_point,log_likelihood\n")
@@ -80,6 +86,13 @@ class TestSchedule:
         text = "model,t,e_t,p,alpha\npoisson,1,4.0,,0.05\npoisson,3,4.0,,0.05\n"
         with pytest.raises(fileio.FileFormatError):
             fileio.read_schedule(io.StringIO(text))
+
+    def test_equal_values_in_different_notation_are_constant(self):
+        text = "model,t,e_t,p,alpha\nbinomial,1,4.0,0.25,0.05\nbinomial,2,4.0,2.5e-1,5e-2\n"
+        parsed = fileio.read_schedule(io.StringIO(text))
+        assert parsed == LookSchedule(
+            (4.0, 4.0), alpha=0.05, model="binomial", exposure_proportion=0.25
+        )
 
     def test_inconsistent_alpha_rejected(self):
         text = "model,t,e_t,p,alpha\npoisson,1,4.0,,0.05\npoisson,2,4.0,,0.10\n"
@@ -195,3 +208,58 @@ class TestSimulationRows:
         assert len(parsed) == 1
         assert parsed[0].scenario == "mini"
         assert parsed[0].rows == report.rows
+
+
+RESULT_ROW = "a,1,true,true,0.1,0.2,0.3,0.4,0.5,2.0,3.0,false,false,false,false"
+
+
+@pytest.mark.parametrize(
+    "reader, header, good_row, bad_row",
+    [
+        (fileio.read_estimates, "outcome_id,log_rr,se_log_rr", "a,0.1,0.2", "b,0.1,x"),
+        (
+            fileio.read_grid_profiles,
+            "outcome_id,log_rr_grid_point,log_likelihood",
+            "g,0.0,-1.0",
+            "g,x,-1.0",
+        ),
+        (
+            fileio.read_schedule,
+            "model,t,e_t,p,alpha",
+            "poisson,1,4.0,,0.05",
+            "poisson,2.5,4.0,,0.05",
+        ),
+        (
+            fileio.read_looks,
+            "outcome_id,look,cumulative_observed,cumulative_total",
+            "a,1,3,7",
+            "a,2,6,many",
+        ),
+        (fileio.read_controls, "outcome_id", "a", "b,c"),
+        (
+            fileio.read_error_model,
+            "mean,sd,n_controls,converged,n_excluded",
+            None,
+            "0.1,0.2,49,yes,0",
+        ),
+        (fileio.read_cv_record, "cv,attained_alpha", None, "1.5,abc"),
+        (
+            fileio.read_results_table,
+            ",".join(fileio._RESULT_COLUMNS),
+            RESULT_ROW,
+            RESULT_ROW.replace("true,true", "true,maybe"),
+        ),
+        (fileio.read_type1_summary, "mode,signal_fraction", "uncal_p,0.25", "cal_p,"),
+        (
+            fileio.read_simulation_rows,
+            "scenario,repeat,mode,effect_size,rate_type,value",
+            "s,0,uncal_p,1.0,type1,0.3",
+            "s,one,uncal_p,1.0,type1,0.3",
+        ),
+    ],
+)
+def test_malformed_field_after_comment_reports_its_line(reader, header, good_row, bad_row):
+    lines = ["# seqcalib any v1", header, *([good_row] if good_row else []), "# note", bad_row]
+    with pytest.raises(fileio.FileFormatError) as err:
+        reader(io.StringIO("\n".join(lines) + "\n"))
+    assert err.value.line == len(lines)

@@ -57,12 +57,12 @@ def sample_llr_max(schedule, replicates, seed, model=None):
     return llr.max(axis=1)
 
 
-def enumerated_cv(schedule, max_increment, models=None):
+def enumerated_cv(schedule, max_increment, model=None):
     """cv and attained alpha by summing the probability of every count path.
 
     Increments run to max_increment at every look (the tail beyond it must
-    be negligible). With per-look models the path probabilities are
-    integrated over the shared bias innovation by adaptive quadrature.
+    be negligible). With a model the path probabilities are integrated over
+    the shared bias innovation by adaptive quadrature.
     """
     n_looks = schedule.n_looks
     paths = np.array(list(itertools.product(range(max_increment + 1), repeat=n_looks)))
@@ -84,13 +84,11 @@ def enumerated_cv(schedule, max_increment, models=None):
         def path_probability(bias):
             return stats.binom.pmf(paths, trials, tilted_proportion(p, bias)).prod(axis=1)
 
-    if models is None:
+    if model is None:
         probability = path_probability(np.zeros(n_looks))
     else:
-        mean = np.array([m.mean for m in models])
-        sd = np.array([m.sd for m in models])
         probability, _ = integrate.quad_vec(
-            lambda z: stats.norm.pdf(z) * path_probability(mean + sd * z),
+            lambda z: stats.norm.pdf(z) * path_probability(model.mean + model.sd * z),
             -12.0,
             12.0,
             epsabs=1e-16,
@@ -209,46 +207,29 @@ class TestComputeCalibratedCv:
         biased = compute_calibrated_cv(schedule, ErrorModel(0.0, 0.3)).cv
         assert biased > plain
 
-    def test_model_count_validation(self):
-        schedule = LookSchedule((4.0, 4.0, 4.0), alpha=0.05)
-        with pytest.raises(ValueError):
-            compute_calibrated_cv(schedule, [ErrorModel(0, 0), ErrorModel(0, 0)])
-
-    def test_per_look_models_must_share_sd(self):
+    def test_model_must_be_one_error_model(self):
         schedule = LookSchedule((4.0, 4.0), alpha=0.05)
-        with pytest.raises(ValueError):
-            compute_calibrated_cv(schedule, [ErrorModel(0.1, 0.1), ErrorModel(0.1, 0.2)])
-
-    def test_single_model_broadcasts(self):
-        schedule = LookSchedule((4.0, 4.0), alpha=0.05)
-        one = compute_calibrated_cv(schedule, ErrorModel(0.1, 0.1))
-        listed = compute_calibrated_cv(schedule, [ErrorModel(0.1, 0.1)])
-        both = compute_calibrated_cv(schedule, [ErrorModel(0.1, 0.1)] * 2)
-        assert one == listed == both
+        with pytest.raises(TypeError):
+            compute_calibrated_cv(schedule, [ErrorModel(0.1, 0.1)] * 2)
 
     def test_alpha_one_gives_zero_cv(self):
         schedule = LookSchedule((4.0, 4.0), alpha=1.0)
         assert compute_calibrated_cv(schedule, ErrorModel(0.2, 0.3)).cv == 0.0
 
     @pytest.mark.parametrize(
-        "schedule, max_increment, models",
+        "schedule, max_increment, model",
         [
-            (LookSchedule((2.0, 2.0, 2.0), alpha=0.05), 30, [ErrorModel(0.2, 0.3)] * 3),
-            (
-                LookSchedule((2.0, 2.0, 2.0), alpha=0.05),
-                30,
-                [ErrorModel(0.0, 0.25), ErrorModel(0.1, 0.25), ErrorModel(0.3, 0.25)],
-            ),
+            (LookSchedule((2.0, 2.0, 2.0), alpha=0.05), 30, ErrorModel(0.2, 0.3)),
             (
                 LookSchedule((6.0,) * 3, alpha=0.05, model="binomial", exposure_proportion=0.3),
                 6,
-                [ErrorModel(0.2, 0.4)] * 3,
+                ErrorModel(0.2, 0.4),
             ),
         ],
     )
-    def test_matches_integrated_path_enumeration(self, schedule, max_increment, models):
-        oracle_cv, oracle_alpha = enumerated_cv(schedule, max_increment, models)
-        result = compute_calibrated_cv(schedule, models)
+    def test_matches_integrated_path_enumeration(self, schedule, max_increment, model):
+        oracle_cv, oracle_alpha = enumerated_cv(schedule, max_increment, model)
+        result = compute_calibrated_cv(schedule, model)
         assert result.cv == oracle_cv
         assert abs(result.attained_alpha - oracle_alpha) <= 1e-10
 
@@ -290,7 +271,7 @@ class TestComputeCalibratedCv:
         model = ErrorModel(0.2, 0.3)
         one_row = compute_calibrated_cv(schedule, model)
         monkeypatch.setattr(maxsprt, "_MAX_LOG_WEIGHT", 3.0)
-        null = maxsprt._NullRecursion(schedule, [model] * 4)
+        null = maxsprt._NullRecursion(schedule, model)
         assert null.rows.size > 1
         rows = compute_calibrated_cv(schedule, model)
         assert rows.cv == one_row.cv
