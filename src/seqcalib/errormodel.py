@@ -19,6 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .likelihood import (
+    BinomialCounts,
     CurvatureError,
     GridProfile,
     LikelihoodProfile,
@@ -81,8 +82,9 @@ class _Prepared:
 
     Rows run normal approximations first, then file grids, Poisson counts
     and binomial counts; `position` maps each row to the profile's index in
-    the input. `mode` and `width`, the grid MLE and SE of every row after
-    the normal ones, place that row's quadrature nodes.
+    the input. `mode` and `width`, the MLE and SE of every row after the
+    normal ones (exact for counts, from the argmax and curvature for file
+    grids), place that row's quadrature nodes.
     """
 
     norm_beta: np.ndarray
@@ -123,7 +125,7 @@ class _Prepared:
 
 
 def _prepare(profiles: Sequence[LikelihoodProfile]) -> _Prepared:
-    """Stack the profiles, dropping and counting grids without a usable maximum."""
+    """Stack the profiles, dropping and counting file grids without a usable maximum."""
     # rows are (input index, mode or estimate, width or variance, payload)
     normal: list[tuple] = []
     grids: list[tuple] = []
@@ -133,23 +135,19 @@ def _prepare(profiles: Sequence[LikelihoodProfile]) -> _Prepared:
     for index, pr in enumerate(profiles):
         if isinstance(pr, NormalApprox):
             normal.append((index, pr.point_estimate, pr.standard_error**2))
-            continue
-        if not isinstance(pr, GridProfile):
-            raise TypeError(f"unsupported profile: {type(pr).__name__}")
-        try:
-            mode, width = mle_and_se(pr)
-        except CurvatureError:
-            excluded += 1
-            continue
-        c = pr.counts
-        if c is None:
-            grids.append((index, mode, width, pr))
-        elif isinstance(c, PoissonCounts):
-            poisson.append((index, mode, width, (c.observed, c.expected, c.offset)))
-        else:
+        elif isinstance(pr, GridProfile):
+            try:
+                grids.append((index, *mle_and_se(pr), pr))
+            except CurvatureError:
+                excluded += 1
+        elif isinstance(pr, PoissonCounts):
+            poisson.append((index, *mle_and_se(pr), (pr.observed, pr.expected, pr.offset)))
+        elif isinstance(pr, BinomialCounts):
             binomial.append(
-                (index, mode, width, (c.exposed, c.null_proportion, c.offset, c.total))
+                (index, *mle_and_se(pr), (pr.exposed, pr.null_proportion, pr.offset, pr.total))
             )
+        else:
+            raise TypeError(f"unsupported profile: {type(pr).__name__}")
     rows = grids + poisson + binomial
     return _Prepared(
         np.array([r[1] for r in normal]),
@@ -231,12 +229,13 @@ def marginal_log_likelihood(
     Each profile contributes the log of its likelihood integrated against the
     normal bias density; at sd=0 the integral degenerates to the likelihood
     evaluated at mu. Normal-approximation profiles use the exact convolution;
-    all other profiles use 64-point Gauss-Hermite quadrature. Count-derived
-    grids (from profile_from_counts) are evaluated exactly from their counts
-    at the quadrature nodes; grids read from files are linearly interpolated.
+    all other profiles use 64-point Gauss-Hermite quadrature. Counts are
+    evaluated exactly at the quadrature nodes; grids read from files are
+    linearly interpolated.
 
     Raises:
         CurvatureError: A grid profile has no usable interior maximum.
+        UninformativeProfileError: Counts without an interior maximum.
     """
     if not math.isfinite(mu):
         raise ValueError("mu must be finite")
@@ -254,15 +253,16 @@ def fit_error_model(profiles: Iterable[LikelihoodProfile]) -> ErrorModel:
     """Fit the systematic-error distribution to negative-control profiles.
 
     Maximizes the marginal likelihood (see marginal_log_likelihood: exact for
-    normal approximations and count-derived grids, interpolated for grids
-    read from files) over (mean, log sd) with a Nelder-Mead simplex from
-    three starting points; the sd=0 boundary is reachable. Profiles without
-    a usable interior maximum are dropped and counted in the returned
-    model's n_excluded.
+    normal approximations and counts, interpolated for grids read from
+    files) over (mean, log sd) with a Nelder-Mead simplex from three
+    starting points; the sd=0 boundary is reachable. Grids without a usable
+    interior maximum are dropped and counted in the returned model's
+    n_excluded; uninformative counts are the caller's to leave out.
 
     Raises:
         InsufficientControlsError: Fewer than 2 usable profiles.
         FitError: No starting point reached a finite optimum.
+        UninformativeProfileError: Counts without an interior maximum.
     """
     return _fit(_prepare(list(profiles)))
 

@@ -2,10 +2,11 @@
 
 Two surveillance models are supported: observed-versus-expected event
 counts (Poisson) and exposed-versus-total case counts (binomial). Each
-outcome's evidence about the log effect size is carried either as a
-normal approximation (point estimate plus standard error) or as a
-log-likelihood grid, from which maximum-likelihood estimates, standard
-errors, and one-sided log-likelihood ratios are extracted.
+outcome's evidence about the log effect size is carried as a normal
+approximation (point estimate plus standard error), as its counts, whose
+maximum-likelihood estimate and Fisher standard error are exact, or as a
+log-likelihood grid read from a file, whose estimate and standard error
+come from the grid argmax and its local curvature.
 """
 
 from __future__ import annotations
@@ -73,17 +74,11 @@ class NormalApprox:
 
 @dataclass(frozen=True, eq=False)
 class GridProfile:
-    """Log-likelihood of the log effect size tabulated on an ascending grid.
-
-    Grids built by profile_from_counts keep the counts they were tabulated
-    from, so the error-model fit can evaluate them exactly between grid
-    points; grids read from files have counts None and are interpolated.
-    """
+    """Log-likelihood of the log effect size tabulated on an ascending grid."""
 
     grid_points: np.ndarray
     log_likelihoods: np.ndarray
     outcome_id: str = ""
-    counts: CountData | None = None
 
     def __post_init__(self) -> None:
         x = np.asarray(self.grid_points, dtype=float)
@@ -100,9 +95,6 @@ class GridProfile:
         ll.flags.writeable = False
         object.__setattr__(self, "grid_points", x)
         object.__setattr__(self, "log_likelihoods", ll)
-
-
-LikelihoodProfile = NormalApprox | GridProfile
 
 
 @dataclass(frozen=True)
@@ -148,6 +140,7 @@ class BinomialCounts:
 
 
 CountData = PoissonCounts | BinomialCounts
+LikelihoodProfile = NormalApprox | GridProfile | PoissonCounts | BinomialCounts
 
 
 def _scalar_or_array(values: np.ndarray):
@@ -237,49 +230,57 @@ def profile_from_counts(data: CountData, *, outcome_id: str = "") -> GridProfile
     """Tabulate the log-likelihood of the log effect size for one outcome's counts.
 
     The grid has GRID_POINTS points over [GRID_LOWER, GRID_UPPER]; it is widened
-    automatically when the analytic MLE falls near or beyond an endpoint, so the
-    maximum is always interior.
+    automatically when the MLE falls near or beyond an endpoint, so the
+    maximum is always interior. Counts are profiles themselves; the grid is
+    for writing them to a grid-profile file.
 
     Raises:
         UninformativeProfileError: Zero events (Poisson), or all/none of the
             events exposed (binomial), where no interior maximum exists.
     """
-    if isinstance(data, PoissonCounts):
-        if data.observed == 0:
-            raise UninformativeProfileError("no events observed; likelihood has no interior maximum")
-        mle = math.log(data.observed / data.expected)
-        lo = min(GRID_LOWER, mle - _GRID_MARGIN)
-        hi = max(GRID_UPPER, mle + _GRID_MARGIN)
-        beta = np.linspace(lo, hi, GRID_POINTS)
-        ll = count_log_likelihood(beta, data.observed, data.expected, data.offset)
-    elif isinstance(data, BinomialCounts):
-        if data.exposed == 0 or data.exposed == data.total:
-            raise UninformativeProfileError(
-                "exposed count at the boundary; likelihood has no interior maximum"
-            )
-        o, n, p = data.exposed, data.total, data.null_proportion
-        mle = math.log((o / (n - o)) * (1.0 - p) / p)
-        lo = min(GRID_LOWER, mle - _GRID_MARGIN)
-        hi = max(GRID_UPPER, mle + _GRID_MARGIN)
-        beta = np.linspace(lo, hi, GRID_POINTS)
-        ll = count_log_likelihood(beta, o, p, data.offset, total=n)
-    else:
+    if not isinstance(data, (PoissonCounts, BinomialCounts)):
         raise TypeError(f"unsupported count data: {type(data).__name__}")
-    return GridProfile(beta, ll, outcome_id=outcome_id, counts=data)
+    mle, _ = mle_and_se(data)
+    beta = np.linspace(min(GRID_LOWER, mle - _GRID_MARGIN), max(GRID_UPPER, mle + _GRID_MARGIN),
+                       GRID_POINTS)
+    if isinstance(data, PoissonCounts):
+        ll = count_log_likelihood(beta, data.observed, data.expected, data.offset)
+    else:
+        ll = count_log_likelihood(
+            beta, data.exposed, data.null_proportion, data.offset, total=data.total
+        )
+    return GridProfile(beta, ll, outcome_id=outcome_id)
 
 
 def mle_and_se(profile: LikelihoodProfile) -> tuple[float, float]:
     """Extract the point estimate and standard error from a likelihood profile.
 
-    Normal approximations return their fields verbatim. Grid profiles return the
-    grid argmax (ties broken toward the smallest log effect size) and a standard
-    error from the local curvature of the log-likelihood at the maximum.
+    Normal approximations return their fields verbatim. Counts return the
+    exact MLE and the Fisher standard error: log(o / e) and 1 / sqrt(o) for
+    Poisson, log(o / (n - o)) - logit(p) and sqrt(1 / o + 1 / (n - o)) for
+    binomial. Grid profiles return the grid argmax (ties broken toward the
+    smallest log effect size) and a standard error from the local curvature
+    of the log-likelihood at the maximum.
 
     Raises:
-        CurvatureError: Maximum on the grid boundary, or non-concave neighborhood.
+        UninformativeProfileError: Zero events (Poisson), or all/none of the
+            events exposed (binomial), where no interior maximum exists.
+        CurvatureError: Grid maximum on the boundary, or non-concave neighborhood.
     """
     if isinstance(profile, NormalApprox):
         return profile.point_estimate, profile.standard_error
+    if isinstance(profile, PoissonCounts):
+        o = profile.observed
+        if o == 0:
+            raise UninformativeProfileError("no events observed; likelihood has no interior maximum")
+        return math.log(o / profile.expected), 1.0 / math.sqrt(o)
+    if isinstance(profile, BinomialCounts):
+        o, unexposed = profile.exposed, profile.total - profile.exposed
+        if o == 0 or unexposed == 0:
+            raise UninformativeProfileError(
+                "exposed count at the boundary; likelihood has no interior maximum"
+            )
+        return math.log(o / unexposed) - profile.offset, math.sqrt(1.0 / o + 1.0 / unexposed)
     if not isinstance(profile, GridProfile):
         raise TypeError(f"unsupported profile: {type(profile).__name__}")
     x = profile.grid_points

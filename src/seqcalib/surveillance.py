@@ -1,12 +1,13 @@
 """Sequential surveillance over accruing looks for a set of outcomes.
 
-At every look the runner rebuilds per-outcome likelihood profiles from the
-cumulative counts, refits the systematic-error distribution on the
-informative negative controls, and evaluates four analysis modes per
-outcome: p-value at nominal alpha versus MaxSPRT, each with or without
-calibration. Negative controls themselves are scored with leave-one-out
-error models so no control calibrates itself (the real-data protocol);
-simulation studies disable that and fit on all controls.
+At every look the runner computes each outcome's exact estimate and
+standard error from its cumulative counts, refits the systematic-error
+distribution on the informative negative controls' counts, and evaluates
+four analysis modes per outcome: p-value at nominal alpha versus MaxSPRT,
+each with or without calibration. Negative controls themselves are scored
+with leave-one-out error models so no control calibrates itself (the
+real-data protocol); simulation studies disable that and fit on all
+controls.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .likelihood import (
     binomial_llr,
     mle_and_se,
     poisson_llr,
-    profile_from_counts,
+    profile_from_counts,  # noqa: F401  unused, but bench/tracing.py rebinds this name here
 )
 from .maxsprt import NO_REPLICATES, LookSchedule, compute_calibrated_cv, compute_cv
 
@@ -61,7 +62,7 @@ class LookObservation:
 class LookRecord:
     """Per-outcome statistics and signal states at one look.
 
-    Fields are None where not computable (uninformative profile, outcome not
+    Fields are None where not computable (uninformative counts, outcome not
     yet observed) or not requested (mode not enabled).
     """
 
@@ -110,7 +111,7 @@ def _check_nondecreasing(previous: CountData | None, current: CountData, outcome
     else:
         ok = (
             current.exposed >= previous.exposed
-            and current.total >= previous.total
+            and current.total - current.exposed >= previous.total - previous.exposed
             and current.null_proportion == previous.null_proportion
         )
     if not ok:
@@ -128,13 +129,14 @@ def run_surveillance(
     """Process looks in order, updating statistics and signal flags per outcome.
 
     Looks must arrive with consecutive indices starting at 1; an outcome
-    absent from a look keeps its previous cumulative counts. Output for look
-    t never depends on later looks, so truncating the stream reproduces a
-    prefix of the results exactly.
+    absent from a look keeps its previous cumulative counts, and no count
+    may fall (for binomial counts, neither the exposed nor the unexposed
+    count). Output for look t never depends on later looks, so truncating
+    the stream reproduces a prefix of the results exactly.
 
-    When fewer than two negative controls are informative at a look, the
-    most recent successful error-model fit is reused and the look index is
-    recorded in fallback_looks.
+    When no error model can be fitted at a look (fewer than two informative
+    negative controls, or no finite optimum), the most recent successful fit
+    is reused and the look index is recorded in fallback_looks.
     """
     modes = tuple(modes)
     if not modes:
@@ -174,20 +176,18 @@ def run_surveillance(
             _check_nondecreasing(current_counts.get(outcome_id), counts, outcome_id)
             current_counts[outcome_id] = counts
 
-        profiles: dict[str, object] = {}
+        estimates: dict[str, tuple[float, float]] = {}
         for outcome_id in sorted(current_counts):
             try:
-                profiles[outcome_id] = profile_from_counts(
-                    current_counts[outcome_id], outcome_id=outcome_id
-                )
+                estimates[outcome_id] = mle_and_se(current_counts[outcome_id])
             except UninformativeProfileError:
                 pass
 
         full_model: ErrorModel | None = None
         control_models: dict[str, ErrorModel] = {}
         if calibrate:
-            informative_controls = sorted(c for c in control_ids if c in profiles)
-            control_profiles = [profiles[c] for c in informative_controls]
+            informative_controls = sorted(c for c in control_ids if c in estimates)
+            control_profiles = [current_counts[c] for c in informative_controls]
             if len(control_profiles) >= 2:
                 try:
                     full_model = fit_error_model(control_profiles)
@@ -223,13 +223,12 @@ def run_surveillance(
                 outcomes[outcome_id] = result
 
             llr = _count_llr(current_counts[outcome_id])
-            profile = profiles.get(outcome_id)
-            informative = profile is not None
+            informative = outcome_id in estimates
             model = control_models.get(outcome_id, full_model) if calibrate else None
 
             beta_hat = se = p_unc = p_cal = None
             if informative:
-                beta_hat, se = mle_and_se(profile)
+                beta_hat, se = estimates[outcome_id]
                 p_unc = uncalibrated_p(beta_hat, se)
                 if calibrate:
                     p_cal = calibrated_p(beta_hat, se, model)

@@ -241,6 +241,25 @@ class TestRun:
         write_looks_file(looks, rows)
         assert main(["run", str(schedule), str(looks), str(ctrl)]) == 2
 
+    def test_falling_unexposed_count_exits_2(self, tmp_path, capsys):
+        schedule = tmp_path / "sched.csv"
+        write_schedule_file(
+            schedule,
+            LookSchedule((10.0, 10.0), alpha=0.05, model="binomial", exposure_proportion=0.5),
+        )
+        looks = tmp_path / "looks.csv"
+        write_looks_file(
+            looks,
+            [
+                {"outcome_id": "a", "look": 1, "cumulative_observed": 5, "cumulative_total": 10},
+                {"outcome_id": "a", "look": 2, "cumulative_observed": 8, "cumulative_total": 11},
+            ],
+        )
+        ctrl = tmp_path / "controls.csv"
+        write_controls_file(ctrl, ["a"])
+        assert main(["run", str(schedule), str(looks), str(ctrl), "--modes", "uncal_p"]) == 2
+        assert "decreased" in capsys.readouterr().err
+
     def test_binomial_requires_totals(self, tmp_path):
         schedule = tmp_path / "sched.csv"
         write_schedule_file(

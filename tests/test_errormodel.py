@@ -16,6 +16,7 @@ from seqcalib.likelihood import (
     GridProfile,
     NormalApprox,
     PoissonCounts,
+    UninformativeProfileError,
     profile_from_counts,
 )
 
@@ -60,7 +61,7 @@ def quad_oracle(data, mu, sd):
 
 
 def count_controls(n, mu, sigma, seed, design):
-    """Count-derived negative-control profiles with N(mu, sigma^2) bias."""
+    """Negative-control counts with N(mu, sigma^2) bias."""
     rng = np.random.default_rng(seed)
     bias = rng.normal(mu, sigma, n)
     profiles = []
@@ -73,7 +74,7 @@ def count_controls(n, mu, sigma, seed, design):
             p = 0.3
             q = p * math.exp(b) / (1 - p + p * math.exp(b))
             data = BinomialCounts(int(np.clip(rng.binomial(total, q), 1, total - 1)), total, p)
-        profiles.append(profile_from_counts(data))
+        profiles.append(data)
     return profiles
 
 
@@ -158,6 +159,14 @@ class TestFitErrorModel:
         assert model.n_controls == 5
         assert model.n_excluded == 1
 
+    @pytest.mark.parametrize(
+        "data", [PoissonCounts(0, 5.0), BinomialCounts(0, 10, 0.5), BinomialCounts(10, 10, 0.5)]
+    )
+    def test_uninformative_counts_raise(self, data):
+        usable = [PoissonCounts(8, 10.0), PoissonCounts(12, 10.0), PoissonCounts(9, 10.0)]
+        with pytest.raises(UninformativeProfileError):
+            fit_error_model(usable + [data])
+
     def test_insufficient_controls(self):
         with pytest.raises(InsufficientControlsError):
             fit_error_model([NormalApprox(0.0, 0.1)])
@@ -186,7 +195,7 @@ class TestMarginalLogLikelihood:
         ll = profile.log_likelihoods
         peak = ll.max()
         phi = np.exp(-0.5 * ((x - mu) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
-        oracle = peak + math.log(np.trapezoid(np.exp(ll - peak) * phi, x))
+        oracle = peak + math.log(integrate.trapezoid(np.exp(ll - peak) * phi, x))
         assert value == pytest.approx(oracle, abs=1e-4)
 
     @pytest.mark.parametrize(
@@ -194,19 +203,18 @@ class TestMarginalLogLikelihood:
     )
     @pytest.mark.parametrize("mu,sd", [(0.0, 0.2), (0.5, 0.1), (-0.3, 0.35), (0.2, 0.02)])
     def test_count_profile_matches_quadrature_oracle(self, data, mu, sd):
-        value = marginal_log_likelihood(mu, sd, [profile_from_counts(data)])
+        value = marginal_log_likelihood(mu, sd, [data])
         assert value == pytest.approx(quad_oracle(data, mu, sd), abs=1e-8)
 
     @pytest.mark.parametrize("data", [PoissonCounts(10, 5.0), BinomialCounts(12, 30, 0.25)])
     def test_count_profile_at_sd_zero_is_exact(self, data):
-        value = marginal_log_likelihood(0.123, 0.0, [profile_from_counts(data)])
+        value = marginal_log_likelihood(0.123, 0.0, [data])
         assert value == pytest.approx(exact_count_ll(data, 0.123), abs=1e-10)
 
     @pytest.mark.parametrize("mu,sd", [(0.0, 0.2), (0.5, 0.1), (-0.3, 0.35)])
     def test_grid_without_counts_is_interpolated(self, mu, sd):
         data = PoissonCounts(10, 5.0)
-        counted = profile_from_counts(data)
-        file_grid = GridProfile(counted.grid_points, counted.log_likelihoods)
+        file_grid = profile_from_counts(data)
         interpolated = marginal_log_likelihood(mu, sd, [file_grid])
         exact = quad_oracle(data, mu, sd)
         assert interpolated == pytest.approx(exact, abs=1e-3)
@@ -261,7 +269,7 @@ class TestLeaveOneOut:
     def test_matches_fit_without_each_profile_of_mixed_kinds(self):
         counted = count_controls(3, 0.1, 0.2, seed=78, design="poisson")
         counted += count_controls(2, 0.1, 0.2, seed=79, design="binomial")
-        file_grid = GridProfile(counted[0].grid_points, counted[0].log_likelihoods)
+        file_grid = profile_from_counts(counted[0])
         unusable = GridProfile([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
         normal = [NormalApprox(0.15, 0.1), NormalApprox(0.3, 0.2)]
         profiles = [counted[0], normal[0], unusable, file_grid, *counted[1:], normal[1]]

@@ -176,12 +176,6 @@ class TestProfileFromCounts:
             assert ll.max() - ll_at_zero == pytest.approx(binomial_llr(o, n, p), abs=1e-3)
 
 
-    def test_records_the_counts_it_was_built_from(self):
-        data = BinomialCounts(7, 20, 0.3)
-        assert profile_from_counts(data).counts is data
-        assert GridProfile([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]).counts is None
-
-
 class TestCountLogLikelihood:
     def test_poisson_matches_logpmf_differences(self):
         beta = np.linspace(-2.0, 2.0, 41)
@@ -227,6 +221,34 @@ class TestMleAndSe:
     def test_binomial_grid_se_matches_fisher_information(self):
         _, se = mle_and_se(profile_from_counts(BinomialCounts(30, 100, 0.2)))
         assert se == pytest.approx(math.sqrt(1 / 30 + 1 / 70), rel=0.02)
+
+    @pytest.mark.parametrize("o,e", [(1, 0.5), (10, 5.0), (100, 100.0), (231, 200.0), (7, 19.3)])
+    def test_poisson_counts_give_closed_forms(self, o, e):
+        mle, se = mle_and_se(PoissonCounts(o, e))
+        assert mle == pytest.approx(math.log(o / e), abs=1e-15)
+        assert se == pytest.approx(1.0 / math.sqrt(o), abs=1e-15)
+
+    @pytest.mark.parametrize("o,n,p", [(8, 10, 0.5), (30, 100, 0.2), (1, 3, 0.9), (17, 40, 0.3)])
+    def test_binomial_counts_give_closed_forms(self, o, n, p):
+        mle, se = mle_and_se(BinomialCounts(o, n, p))
+        assert mle == pytest.approx(math.log(o / (n - o)) - math.log(p / (1 - p)), abs=1e-15)
+        assert se == pytest.approx(math.sqrt(1 / o + 1 / (n - o)), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "data",
+        [PoissonCounts(5, 5.0), PoissonCounts(231, 231.0), BinomialCounts(5, 10, 0.5),
+         BinomialCounts(3, 12, 0.25), BinomialCounts(60, 80, 0.75)],
+    )
+    def test_counts_at_the_null_give_exactly_zero(self, data):
+        # the grid argmax sits within half a step of 0 here, not on it
+        assert mle_and_se(data)[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "data", [PoissonCounts(0, 5.0), BinomialCounts(0, 10, 0.5), BinomialCounts(10, 10, 0.5)]
+    )
+    def test_uninformative_counts_raise(self, data):
+        with pytest.raises(UninformativeProfileError):
+            mle_and_se(data)
 
     def test_boundary_maximum_raises(self):
         increasing = GridProfile([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -172,9 +173,17 @@ class TestRunSurveillance:
         with pytest.raises(FitError):
             run_surveillance(poisson_schedule(n_looks=2), poisson_looks(series), ["nc-0"])
 
-    def test_fallback_to_previous_fit_and_flagged(self):
-        # binomial controls informative at look 1; at look 2 one hits
-        # exposed == total and the informative set drops below 2
+    def test_fallback_to_previous_fit_and_flagged(self, monkeypatch):
+        # cumulative counts never lose information, so the look-2 fit is made to fail
+        fits = []
+
+        def fit_once(profiles):
+            fits.append(profiles)
+            if len(fits) > 1:
+                raise FitError("no finite optimum")
+            return ErrorModel(0.1, 0.2, n_controls=len(profiles))
+
+        monkeypatch.setattr(surveillance_module, "fit_error_model", fit_once)
         schedule = LookSchedule(
             (4.0, 4.0), alpha=0.05, model="binomial", exposure_proportion=0.5
         )
@@ -191,12 +200,13 @@ class TestRunSurveillance:
                 2,
                 {
                     "nc-0": BinomialCounts(4, 8, 0.5),
-                    "nc-1": BinomialCounts(8, 8, 0.5),
+                    "nc-1": BinomialCounts(6, 8, 0.5),
                     "x": BinomialCounts(4, 8, 0.5),
                 },
             ),
         ]
         result = run_surveillance(schedule, looks, ["nc-0", "nc-1"])
+        assert len(fits) == 2
         assert result.fallback_looks == [2]
         look1_model = result.outcomes["x"].looks[0].error_model
         look2_model = result.outcomes["x"].looks[1].error_model
@@ -239,6 +249,29 @@ class TestRunSurveillance:
         ]
         with pytest.raises(ValueError):
             run_surveillance(schedule, looks, [], modes=("uncal_p",))
+
+    def test_falling_unexposed_count_rejected(self):
+        # exposed and total both grow, but the unexposed count falls from 5 to 3
+        schedule = LookSchedule(
+            (10.0, 10.0), alpha=0.05, model="binomial", exposure_proportion=0.5
+        )
+        looks = [
+            LookObservation(1, {"a": BinomialCounts(5, 10, 0.5)}),
+            LookObservation(2, {"a": BinomialCounts(8, 11, 0.5)}),
+        ]
+        with pytest.raises(ValueError, match="decreased"):
+            run_surveillance(schedule, looks, [], modes=("uncal_p",))
+
+    def test_estimates_are_exact(self):
+        series = {"a": [7, 13, 15], **null_control_series(4, 3, seed=3)}
+        result = run_surveillance(
+            poisson_schedule(), poisson_looks(series), [k for k in series if k != "a"]
+        )
+        for oid, values in series.items():
+            for t, rec in enumerate(result.outcomes[oid].looks):
+                o, e = int(values[t]), 5.0 * (t + 1)
+                assert rec.beta_hat == math.log(o / e)
+                assert rec.se == 1.0 / math.sqrt(o)
 
 
 class TestType1Report:
