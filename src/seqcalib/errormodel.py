@@ -1,12 +1,11 @@
 """Estimation of the residual systematic-error distribution.
 
-Negative controls are exposure-outcome pairs with no believed causal
-relation, so their true log effect size is zero and any estimated effect
-reflects systematic error plus sampling noise. Assuming the per-outcome
-bias is drawn from a normal distribution, this module fits that
-distribution's mean and standard deviation by maximizing the marginal
-likelihood of the negative-control profiles, integrating the bias out of
-each profile's likelihood.
+Negative controls are exposure-outcome pairs with no believed causal relation,
+so their true log effect size is zero and any estimated effect reflects
+systematic error plus sampling noise. Assuming the per-outcome bias is drawn
+from a normal distribution, this module fits that distribution's mean and
+standard deviation by maximizing the marginal likelihood of the
+negative-control profiles, integrating the bias out of each profile's likelihood.
 """
 
 from __future__ import annotations
@@ -16,10 +15,9 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from .likelihood import (
-    BinomialCounts,
     CurvatureError,
     GridProfile,
     LikelihoodProfile,
@@ -41,9 +39,10 @@ __all__ = [
 GH_POINTS = 64
 _GH_X, _GH_W = np.polynomial.hermite.hermgauss(GH_POINTS)
 _GH_LOGW = np.log(_GH_W)
-_GH_LOG_KERNEL = _GH_X**2 + _GH_LOGW
-_SIGMA_EPS = 1e-6
+_GH_X2 = _GH_X**2
 _LOG_2PI = math.log(2.0 * math.pi)
+# L-BFGS-B stops on a relative decrease <= ftol or a projected gradient <= gtol
+_FIT_OPTIONS = {"ftol": 1e-14, "gtol": 1e-6, "maxiter": 500}
 
 
 class InsufficientControlsError(ValueError):
@@ -51,16 +50,15 @@ class InsufficientControlsError(ValueError):
 
 
 class FitError(RuntimeError):
-    """The systematic-error fit failed to produce a finite optimum."""
+    """The systematic-error fit ended without a finite marginal likelihood."""
 
 
 @dataclass(frozen=True)
 class ErrorModel:
     """Fitted normal distribution of systematic error on the log effect scale.
 
-    A model with mean 0 and sd 0 expresses certainty that no systematic
-    error exists, which reduces every calibrated statistic to its
-    uncalibrated counterpart.
+    A model with mean 0 and sd 0 expresses certainty that no systematic error
+    exists, which reduces every calibrated statistic to its uncalibrated one.
     """
 
     mean: float
@@ -80,21 +78,21 @@ class ErrorModel:
 class _Prepared:
     """Usable profiles stacked into column arrays, one row per profile.
 
-    Rows run normal approximations first, then file grids, Poisson counts
-    and binomial counts; `position` maps each row to the profile's index in
-    the input. `mode` and `width`, the MLE and SE of every row after the
-    normal ones (exact for counts, from the argmax and curvature for file
-    grids), place that row's quadrature nodes.
+    Rows run normal approximations, file grids, Poisson counts, binomial counts;
+    `position` maps each row to its profile's input index. `mode` and `width`,
+    the MLE and SE of each non-normal row, place its quadrature nodes, and
+    `peak`, its log-likelihood at the mode, is what it is evaluated against.
     """
 
     norm_beta: np.ndarray
     norm_var: np.ndarray
     grid_x: tuple[np.ndarray, ...]
-    grid_ll: tuple[np.ndarray, ...]
-    poisson: np.ndarray  # columns: observed, expected, offset
-    binomial: np.ndarray  # columns: exposed, null proportion, offset, total
+    grid_ll: tuple[np.ndarray, ...]  # less the grid's peak
+    poisson: np.ndarray  # observed counts
+    binomial: np.ndarray  # columns: exposed, total
     mode: np.ndarray
     width: np.ndarray
+    peak: np.ndarray
     position: np.ndarray
     n_excluded: int
 
@@ -107,8 +105,7 @@ class _Prepared:
         if index not in self.position:  # an excluded profile
             return replace(self, n_excluded=self.n_excluded - 1)
         keep = self.position != index
-        a = self.norm_beta.size
-        b = a + len(self.grid_x)
+        a, b = self.norm_beta.size, self.norm_beta.size + len(self.grid_x)
         c = b + len(self.poisson)
         return _Prepared(
             self.norm_beta[keep[:a]],
@@ -119,6 +116,7 @@ class _Prepared:
             self.binomial[keep[c:]],
             self.mode[keep[a:]],
             self.width[keep[a:]],
+            self.peak[keep[a:]],
             self.position[keep],
             self.n_excluded,
         )
@@ -126,104 +124,115 @@ class _Prepared:
 
 def _prepare(profiles: Sequence[LikelihoodProfile]) -> _Prepared:
     """Stack the profiles, dropping and counting file grids without a usable maximum."""
-    # rows are (input index, mode or estimate, width or variance, payload)
-    normal: list[tuple] = []
-    grids: list[tuple] = []
-    poisson: list[tuple] = []
-    binomial: list[tuple] = []
-    excluded = 0
+    # rows are (input index, mode or estimate, width or variance, peak, payload)
+    normal, grids, poisson, binomial, excluded = [], [], [], [], 0
     for index, pr in enumerate(profiles):
         if isinstance(pr, NormalApprox):
             normal.append((index, pr.point_estimate, pr.standard_error**2))
-        elif isinstance(pr, GridProfile):
-            try:
-                grids.append((index, *mle_and_se(pr), pr))
-            except CurvatureError:
-                excluded += 1
+            continue
+        try:
+            mode, width = mle_and_se(pr)
+        except CurvatureError:
+            excluded += 1
+            continue
+        if isinstance(pr, GridProfile):
+            grids.append((index, mode, width, pr.log_likelihoods.max(), pr))
         elif isinstance(pr, PoissonCounts):
-            poisson.append((index, *mle_and_se(pr), (pr.observed, pr.expected, pr.offset)))
-        elif isinstance(pr, BinomialCounts):
-            binomial.append(
-                (index, *mle_and_se(pr), (pr.exposed, pr.null_proportion, pr.offset, pr.total))
-            )
+            peak = count_log_likelihood(mode, pr.observed, pr.expected, pr.offset)
+            poisson.append((index, mode, width, peak, pr.observed))
         else:
-            raise TypeError(f"unsupported profile: {type(pr).__name__}")
+            peak = count_log_likelihood(mode, pr.exposed, pr.null_proportion, pr.offset, pr.total)
+            binomial.append((index, mode, width, peak, (pr.exposed, pr.total)))
     rows = grids + poisson + binomial
     return _Prepared(
         np.array([r[1] for r in normal]),
         np.array([r[2] for r in normal]),
-        tuple(r[3].grid_points for r in grids),
-        tuple(r[3].log_likelihoods for r in grids),
-        np.array([r[3] for r in poisson]).reshape(-1, 3),
-        np.array([r[3] for r in binomial]).reshape(-1, 4),
+        tuple(r[4].grid_points for r in grids),
+        tuple(r[4].log_likelihoods - r[3] for r in grids),
+        np.array([r[4] for r in poisson], dtype=float),
+        np.array([r[4] for r in binomial], dtype=float).reshape(-1, 2),
         np.array([r[1] for r in rows]),
         np.array([r[2] for r in rows]),
+        np.array([r[3] for r in rows]),
         np.array([r[0] for r in normal + rows], dtype=int),
         excluded,
     )
 
 
-def _count_log_likelihoods(prep: _Prepared, beta: np.ndarray, *, out: np.ndarray) -> None:
-    """Write the exact log-likelihood of each count row at its row of beta into out.
+def _node_log_likelihoods(prep: _Prepared, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-likelihood and score of each non-normal row at its mode + its row of delta.
 
-    beta and out have one row per row of prep.mode; file-grid rows are left alone.
+    Log-likelihoods are taken less the row's peak, so they stay small and free
+    of rounding noise. Counts are exact; file grids are linear between their
+    points and, beyond them, continue an end segment falling away or stay level.
     """
-    g = len(prep.grid_x)
-    p = g + len(prep.poisson)
-    if len(prep.poisson):
-        out[g:p] = count_log_likelihood(beta[g:p], *prep.poisson.T[:, :, None])
-    if len(prep.binomial):
-        out[p:] = count_log_likelihood(beta[p:], *prep.binomial.T[:, :, None])
+    ll, score = np.empty_like(delta), np.empty_like(delta)
+    for i, (x, y) in enumerate(zip(prep.grid_x, prep.grid_ll)):
+        beta = prep.mode[i] + delta[i]
+        j = np.searchsorted(x, beta)  # beta lies in (x[j-1], x[j]]
+        slope = np.diff(y) / np.diff(x)
+        score[i] = np.concatenate(([max(slope[0], 0.0)], slope, [min(slope[-1], 0.0)]))[j]
+        anchor = np.maximum(j - 1, 0)
+        ll[i] = y[anchor] + score[i] * (beta - x[anchor])
+    g, p = len(prep.grid_x), len(prep.grid_x) + len(prep.poisson)
+    # with t = e^delta - 1, Poisson o*(delta - t), score o - e*e^beta = -o*t; binomial
+    # o*delta - n*log(1 + q*t) with MLE proportion q = o/n, score o - n*q_beta
+    observed, t = prep.poisson[:, None], np.expm1(delta[g:p])
+    ll[g:p] = observed * (delta[g:p] - t)
+    score[g:p] = -observed * t
+    exposed, total = prep.binomial.T[:, :, None]
+    qt = exposed / total * np.expm1(delta[p:])
+    ll[p:] = exposed * delta[p:] - total * np.log1p(qt)
+    score[p:] = (exposed - total) * qt / (1.0 + qt)
+    return ll, score
 
 
-def _evaluate(mu: float, sd: float, prep: _Prepared) -> float:
-    total = 0.0
+def _evaluate(mu: float, sd: float, prep: _Prepared) -> tuple[float, np.ndarray]:
+    """The objective at (mu, sd), less the rows' peaks, and its exact derivatives in mu and sd.
+
+    The quadrature nodes move with (mu, sd), so the derivatives need the score at each node.
+    """
+    v = sd * sd
+    value, grad = 0.0, np.zeros(2)
     if prep.norm_beta.size:
         # exact normal-normal convolution: estimate ~ N(mu, sd^2 + s_i^2)
-        var = prep.norm_var + sd * sd
-        total += float(
-            np.sum(-0.5 * (_LOG_2PI + np.log(var)) - (prep.norm_beta - mu) ** 2 / (2.0 * var))
-        )
-    if prep.mode.size == 0:
-        return total
-    n_grids = len(prep.grid_x)
-    if sd == 0.0:
-        for x, ll in zip(prep.grid_x, prep.grid_ll):
-            total += float(np.interp(mu, x, ll, left=-np.inf, right=-np.inf))
-        if prep.mode.size > n_grids:
-            at_mu = np.full((prep.mode.size, 1), mu)
-            _count_log_likelihoods(prep, at_mu, out=at_mu)
-            total += float(np.sum(at_mu[n_grids:]))
-        return total
-    # Gauss-Hermite nodes placed at the approximate mode/scale of each
-    # integrand product, so narrow likelihoods are still resolved
-    sd2 = sd * sd
-    prec = 1.0 / sd2 + 1.0 / prep.width**2
-    w_star = prec**-0.5
-    m_star = (mu / sd2 + prep.mode / prep.width**2) / prec
-    nodes = m_star[:, None] + math.sqrt(2.0) * w_star[:, None] * _GH_X[None, :]
-    ll_nodes = np.empty_like(nodes)
-    for i, (x, ll) in enumerate(zip(prep.grid_x, prep.grid_ll)):
-        ll_nodes[i] = np.interp(nodes[i], x, ll, left=-np.inf, right=-np.inf)
-    _count_log_likelihoods(prep, nodes, out=ll_nodes)
-    # in place, in the order of ll + log_phi + kernel + log(2)/2 + log(w_star)
-    exponents = ll_nodes
-    exponents += -0.5 * (_LOG_2PI + math.log(sd2)) - (nodes - mu) ** 2 / (2.0 * sd2)
-    exponents += _GH_LOG_KERNEL[None, :]
-    exponents += 0.5 * math.log(2.0)
-    exponents += np.log(w_star)[:, None]
+        var = prep.norm_var + v
+        dev = prep.norm_beta - mu
+        value += float(np.sum(-0.5 * (_LOG_2PI + np.log(var)) - dev**2 / (2.0 * var)))
+        grad += (np.sum(dev / var), sd * np.sum((dev / var) ** 2 - 1.0 / var))
+    # Gauss-Hermite nodes at each integrand's approximate mode and scale resolve
+    # narrow likelihoods: with a = mode - mu and s = sd^2 + width^2, node k lies
+    # a*r + step*x_k from mu (r = sd^2/s, step = sqrt(2)*width*sd/sqrt(s)); the
+    # normal exponent is expanded, so nothing divides by sd and sd = 0 is exact.
+    w, a = prep.width, prep.mode - mu
+    s = v + w * w
+    r, u, k = v / s, w * w / s, math.sqrt(2.0) * w / np.sqrt(s)
+    step = k * sd
+    ll, score = _node_log_likelihoods(prep, step[:, None] * _GH_X - (a * u)[:, None])
+    # log(likelihood * normal density * node weight / Hermite kernel), less row constants
+    exponents = ll + _GH_LOGW
+    exponents += r[:, None] * _GH_X2 - (a * step / s)[:, None] * _GH_X
     peak = exponents.max(axis=1)
     if not np.all(peak > -np.inf):
-        return -math.inf  # some profile has zero mass under this (mu, sd)
-    exponents -= peak[:, None]
-    np.exp(exponents, out=exponents)
-    total += float(np.sum(peak + np.log(np.sum(exponents, axis=1))))
-    return total
+        return -math.inf, grad  # some profile has zero mass under this (mu, sd)
+    weights = np.exp(exponents - peak[:, None])
+    mass = weights.sum(axis=1)
+    constant = a * a * r / (2.0 * s) + 0.5 * (math.log(math.pi) + np.log1p(v / (w * w)))
+    value += float(np.sum(peak + np.log(mass) - constant))
+    # each exponent's derivative, through its node (the score) and its terms,
+    # averaged over the row's normalised weights by their moments in x
+    m1, m2 = (weights @ _GH_X) / mass, (weights @ _GH_X2) / mass
+    weights *= score
+    s0, s1 = weights.sum(axis=1) / mass, (weights @ _GH_X) / mass
+    d_mu = u * s0 + (a * r + step * m1) / s
+    d_sd = u * (2.0 * a * sd * s0 / s + k * s1) + (
+        2.0 * sd * u * m2 - sd - a * a * sd * (u - r) / s - a * k * (1.0 - 3.0 * r) * m1
+    ) / s
+    grad += (np.sum(d_mu), np.sum(d_sd))
+    return value, grad
 
 
-def marginal_log_likelihood(
-    mu: float, sd: float, profiles: Iterable[LikelihoodProfile]
-) -> float:
+def marginal_log_likelihood(mu: float, sd: float, profiles: Iterable[LikelihoodProfile]) -> float:
     """Log marginal likelihood of (mu, sd) given negative-control profiles.
 
     Each profile contributes the log of its likelihood integrated against the
@@ -231,7 +240,8 @@ def marginal_log_likelihood(
     evaluated at mu. Normal-approximation profiles use the exact convolution;
     all other profiles use 64-point Gauss-Hermite quadrature. Counts are
     evaluated exactly at the quadrature nodes; grids read from files are
-    linearly interpolated.
+    linearly interpolated and, beyond their ends, continue an end segment that
+    falls away from their maximum or else stay level.
 
     Raises:
         CurvatureError: A grid profile has no usable interior maximum.
@@ -246,22 +256,25 @@ def marginal_log_likelihood(
         raise CurvatureError(f"{prep.n_excluded} grid profile(s) have no usable interior maximum")
     if prep.n_profiles == 0:
         raise ValueError("at least one profile is required")
-    return _evaluate(mu, sd, prep)
+    return _evaluate(mu, sd, prep)[0] + float(np.sum(prep.peak))
 
 
 def fit_error_model(profiles: Iterable[LikelihoodProfile]) -> ErrorModel:
     """Fit the systematic-error distribution to negative-control profiles.
 
-    Maximizes the marginal likelihood (see marginal_log_likelihood: exact for
-    normal approximations and counts, interpolated for grids read from
-    files) over (mean, log sd) with a Nelder-Mead simplex from three
-    starting points; the sd=0 boundary is reachable. Grids without a usable
-    interior maximum are dropped and counted in the returned model's
-    n_excluded; uninformative counts are the caller's to leave out.
+    Maximizes the marginal likelihood (see marginal_log_likelihood) with one
+    L-BFGS-B run on its exact gradient from the mean and sd of the profiles' MLEs.
+    The objective is even in sd, so its derivative in sd is 0 at sd = 0, where a
+    bound could stop the run at a saddle: the run is unbounded and the model
+    takes |sd|. The run can end at a local maximum with sd > 0, so the best sd = 0
+    model (a root of its derivative in the mean) is kept where it is no worse.
+    `converged` marks a verified end of the run: it met its tolerances, or a
+    Newton step from where it stopped would gain less than its ftol. Grids
+    without a usable interior maximum are dropped and counted in n_excluded.
 
     Raises:
         InsufficientControlsError: Fewer than 2 usable profiles.
-        FitError: No starting point reached a finite optimum.
+        FitError: The fit ended without a finite objective.
         UninformativeProfileError: Counts without an interior maximum.
     """
     return _fit(_prepare(list(profiles)))
@@ -274,48 +287,35 @@ def _fit(prep: _Prepared) -> ErrorModel:
         )
     mles = np.concatenate([prep.norm_beta, prep.mode])
 
-    def negative_objective(params: np.ndarray) -> float:
-        mu, z = params
-        sd = max(0.0, math.exp(min(z, 50.0)) - _SIGMA_EPS)
-        value = _evaluate(mu, sd, prep)
-        return -value if math.isfinite(value) else math.inf
+    def negative_objective(params: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = _evaluate(float(params[0]), float(params[1]), prep)
+        return (-value, -grad) if math.isfinite(value) else (math.inf, np.zeros(2))
 
-    starts = [
-        (0.0, 0.1),
-        (0.0, 0.5),
-        (float(np.mean(mles)), float(np.std(mles, ddof=1))),
-    ]
-    best = None
-    for m0, s0 in starts:
-        res = minimize(
-            negative_objective,
-            np.array([m0, math.log(s0 + _SIGMA_EPS)]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-5, "fatol": 1e-6, "maxiter": 4000, "maxfev": 4000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None or not math.isfinite(best.fun):
+    start = [np.mean(mles), np.std(mles, ddof=1)]
+    res = minimize(negative_objective, start, jac=True, method="L-BFGS-B", options=_FIT_OPTIONS)
+    if not math.isfinite(res.fun):
         raise FitError("no finite optimum found for the systematic-error distribution")
-    sd_hat = max(0.0, math.exp(min(float(best.x[1]), 50.0)) - _SIGMA_EPS)
-    return ErrorModel(
-        mean=float(best.x[0]),
-        sd=sd_hat,
-        n_controls=prep.n_profiles,
-        converged=bool(best.success),
-        n_excluded=prep.n_excluded,
-    )
+    mean, sd, converged = float(res.x[0]), abs(float(res.x[1])), bool(res.success)
+    if not converged:  # rounding can leave a line search no decrease to find at the optimum
+        hess = np.array([negative_objective(res.x + e)[1] - res.jac for e in 1e-6 * np.eye(2)])
+        hess = (hess + hess.T) / 2e-6  # from forward differences of the exact gradient
+        gain = 0.5 * res.jac @ np.linalg.solve(hess, res.jac) / max(abs(res.fun), 1.0)
+        converged = min(np.linalg.eigvalsh(hess)) > 0 and gain <= _FIT_OPTIONS["ftol"]
+    try:
+        zero_mean = brentq(lambda m: _evaluate(m, 0.0, prep)[1][0], mles.min(), mles.max())
+    except ValueError:  # the derivative keeps its sign over the MLEs' range
+        zero_mean = mean
+    if _evaluate(zero_mean, 0.0, prep)[0] >= -res.fun:
+        mean, sd = zero_mean, 0.0
+    return ErrorModel(mean, sd, prep.n_profiles, bool(converged), prep.n_excluded)
 
 
-def leave_one_out_models(
-    profiles: Sequence[LikelihoodProfile],
-) -> list[ErrorModel | None]:
+def leave_one_out_models(profiles: Sequence[LikelihoodProfile]) -> list[ErrorModel | None]:
     """Fit one model per profile, each excluding that profile from the fit.
 
-    The profiles are prepared once and each fit runs on the remaining rows,
-    so entry i equals fit_error_model of the profiles without profile i.
-    Entries are None where the reduced fit failed; failures do not abort the
-    remaining fits. Result order matches the input order.
+    The profiles are prepared once and each fit runs on the remaining rows, so
+    entry i equals fit_error_model of the profiles without profile i. Entries
+    are None where the reduced fit failed, without aborting the other fits.
     """
     profiles = list(profiles)
     if len(profiles) < 3:
