@@ -176,11 +176,12 @@ def binomial_llr(exposed, total, p):
     """
     k = np.asarray(exposed)
     n = np.asarray(total)
+    p = np.asarray(p, dtype=float)
     if np.any(n < 1):
         raise ValueError("total must be at least 1")
     if np.any(k < 0) or np.any(k > n):
         raise ValueError("exposed must lie in [0, total]")
-    if not np.all((np.asarray(p) > 0.0) & (np.asarray(p) < 1.0)):
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("p must lie in (0, 1)")
     q = k / n
     term1 = k * np.log(np.maximum(q, 1e-300) / p)

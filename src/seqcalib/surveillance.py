@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .calibration import calibrated_p, uncalibrated_p
 from .errormodel import ErrorModel, FitError, fit_error_model, leave_one_out_models
 from .likelihood import (
-    BinomialCounts,
     CountData,
     PoissonCounts,
     UninformativeProfileError,
@@ -95,12 +96,6 @@ class SurveillanceResult:
     fallback_looks: list[int] = field(default_factory=list)
 
 
-def _count_llr(counts: CountData) -> float:
-    if isinstance(counts, PoissonCounts):
-        return poisson_llr(counts.observed, counts.expected)
-    return binomial_llr(counts.exposed, counts.total, counts.null_proportion)
-
-
 def _check_nondecreasing(previous: CountData | None, current: CountData, outcome_id: str) -> None:
     if previous is None:
         return
@@ -160,6 +155,8 @@ def run_surveillance(
 
     outcomes: dict[str, OutcomeResult] = {}
     current_counts: dict[str, CountData] = {}
+    ids: list[str] = []  # every outcome seen so far, sorted: the rows of each look's columns
+    first = np.zeros((len(modes), 0), dtype=int)  # first-signal look per mode and row, 0 = none
     last_full_model: ErrorModel | None = None
     fallback_looks: list[int] = []
     next_look = 1
@@ -175,11 +172,23 @@ def run_surveillance(
         for outcome_id, counts in obs.counts.items():
             _check_nondecreasing(current_counts.get(outcome_id), counts, outcome_id)
             current_counts[outcome_id] = counts
+        if len(current_counts) > len(ids):  # new outcomes: widen the columns
+            grown = sorted(current_counts)
+            row_of = {outcome_id: i for i, outcome_id in enumerate(grown)}
+            widened = np.zeros((len(modes), len(grown)), dtype=int)
+            widened[:, [row_of[outcome_id] for outcome_id in ids]] = first
+            first, ids = widened, grown
+            for outcome_id in (o for o in ids if o not in outcomes):
+                # pad looks from before the outcome was first observed
+                padding = [LookRecord(k, False, signals=dict.fromkeys(modes, False))
+                           for k in range(1, t)]
+                outcomes[outcome_id] = OutcomeResult(outcome_id, outcome_id in control_ids, padding)
+        rows = [current_counts[outcome_id] for outcome_id in ids]
 
         estimates: dict[str, tuple[float, float]] = {}
-        for outcome_id in sorted(current_counts):
+        for outcome_id, counts in zip(ids, rows):
             try:
-                estimates[outcome_id] = mle_and_se(current_counts[outcome_id])
+                estimates[outcome_id] = mle_and_se(counts)
             except UninformativeProfileError:
                 pass
 
@@ -207,62 +216,49 @@ def run_surveillance(
                         for cid, m in zip(informative_controls, loo)
                     }
 
-        for outcome_id in sorted(current_counts):
-            result = outcomes.get(outcome_id)
-            if result is None:
-                result = OutcomeResult(
-                    outcome_id,
-                    outcome_id in control_ids,
-                    first_signal_look={m: None for m in modes},
-                )
-                # pad looks from before the outcome was first observed
-                result.looks = [
-                    LookRecord(look=k, informative=False, signals={m: False for m in modes})
-                    for k in range(1, t)
-                ]
-                outcomes[outcome_id] = result
-
-            llr = _count_llr(current_counts[outcome_id])
-            informative = outcome_id in estimates
-            model = control_models.get(outcome_id, full_model) if calibrate else None
-
-            beta_hat = se = p_unc = p_cal = None
-            if informative:
-                beta_hat, se = estimates[outcome_id]
-                p_unc = uncalibrated_p(beta_hat, se)
+        # score the look as columns over `ids`, with one LLR call per count kind
+        n = len(ids)
+        llr = np.zeros(n)
+        poisson = [(i, c.observed, c.expected)
+                   for i, c in enumerate(rows) if isinstance(c, PoissonCounts)]
+        binomial = [(i, c.exposed, c.total, c.null_proportion)
+                    for i, c in enumerate(rows) if not isinstance(c, PoissonCounts)]
+        for columns, count_llr in ((poisson, poisson_llr), (binomial, binomial_llr)):
+            if columns:
+                kind_rows, *args = zip(*columns)
+                llr[list(kind_rows)] = count_llr(*args)
+        models = [control_models.get(outcome_id, full_model) for outcome_id in ids]
+        # estimates and p-values stay scalar `math`, one outcome at a time: numpy's log and
+        # erfc differ from math's in the last bit on some inputs, and outputs print in full
+        beta_hat, se, p_unc, p_cal = ([None] * n for _ in range(4))
+        for i, outcome_id in enumerate(ids):
+            if outcome_id in estimates:
+                beta_hat[i], se[i] = b, s = estimates[outcome_id]
+                p_unc[i] = uncalibrated_p(b, s)
                 if calibrate:
-                    p_cal = calibrated_p(beta_hat, se, model)
-            cv_cal = cal_cv(model) if "cal_maxsprt" in modes else None
+                    p_cal[i] = calibrated_p(b, s, models[i])
+        cv_cal = [cal_cv(m) for m in models] if "cal_maxsprt" in modes else [None] * n
 
-            signals: dict[str, bool] = {}
-            for mode in modes:
-                if mode == "uncal_maxsprt":
-                    fired = llr > uncal_cv
-                elif mode == "cal_maxsprt":
-                    fired = llr > cv_cal
-                elif mode == "uncal_p":
-                    fired = p_unc is not None and p_unc < schedule.alpha
-                else:
-                    fired = p_cal is not None and p_cal < schedule.alpha
-                signals[mode] = fired
-                if fired and result.first_signal_look[mode] is None:
-                    result.first_signal_look[mode] = t
-            result.looks.append(
-                LookRecord(
-                    look=t,
-                    informative=informative,
-                    beta_hat=beta_hat,
-                    se=se,
-                    llr=llr,
-                    p_uncalibrated=p_unc,
-                    p_calibrated=p_cal,
-                    cv=uncal_cv,
-                    cv_calibrated=cv_cal,
-                    error_model=model,
-                    signals=signals,
-                )
-            )
+        fired = np.empty((len(modes), n), dtype=bool)
+        for k, mode in enumerate(modes):
+            if mode == "uncal_maxsprt":
+                fired[k] = llr > uncal_cv
+            elif mode == "cal_maxsprt":
+                fired[k] = llr > np.array(cv_cal)
+            else:
+                p = p_unc if mode == "uncal_p" else p_cal
+                fired[k] = [v is not None and v < schedule.alpha for v in p]
+        first[fired & (first == 0)] = t
 
+        for i, (outcome_id, llr_i, signals) in enumerate(zip(ids, llr.tolist(), fired.T.tolist())):
+            outcomes[outcome_id].looks.append(LookRecord(
+                look=t, informative=outcome_id in estimates, beta_hat=beta_hat[i], se=se[i],
+                llr=llr_i, p_uncalibrated=p_unc[i], p_calibrated=p_cal[i], cv=uncal_cv,
+                cv_calibrated=cv_cal[i], error_model=models[i], signals=dict(zip(modes, signals)),
+            ))
+
+    for outcome_id, first_looks in zip(ids, first.T.tolist()):
+        outcomes[outcome_id].first_signal_look = {m: k or None for m, k in zip(modes, first_looks)}
     return SurveillanceResult(
         outcomes=outcomes, modes=modes, alpha=schedule.alpha, fallback_looks=fallback_looks
     )

@@ -103,6 +103,19 @@ class TestBinomialLlr:
         with pytest.raises(ValueError):
             binomial_llr(np.array([3, 11]), np.array([10, 10]), 0.5)
 
+    def test_sequence_p_matches_array_p_bit_for_bit(self):
+        exposed, totals = [3, 9, 40, 17, 2], [10, 12, 60, 17, 2]
+        p = [0.115, 0.5, 28 / 243, 0.3, 0.9]
+        from_list = binomial_llr(exposed, totals, p)
+        from_array = binomial_llr(np.array(exposed), np.array(totals), np.array(p))
+        assert from_list.tolist() == from_array.tolist()
+        assert from_list.tolist() == [binomial_llr(*row) for row in zip(exposed, totals, p)]
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
+    def test_sequence_p_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match="p must lie"):
+            binomial_llr([3, 4], [10, 10], [0.5, bad])
+
 
 class TestTiltedProportion:
     def test_zero_shift_returns_p_exactly(self):

@@ -5,13 +5,24 @@ import numpy as np
 import pytest
 
 import seqcalib.surveillance as surveillance_module
+from seqcalib.calibration import calibrated_p, uncalibrated_p
 from seqcalib.errormodel import ErrorModel, FitError
-from seqcalib.likelihood import BinomialCounts, PoissonCounts
-from seqcalib.maxsprt import LookSchedule
+from seqcalib.likelihood import (
+    BinomialCounts,
+    PoissonCounts,
+    UninformativeProfileError,
+    binomial_llr,
+    mle_and_se,
+    poisson_llr,
+)
+from seqcalib.maxsprt import NO_REPLICATES, LookSchedule, compute_calibrated_cv, compute_cv
 from seqcalib.surveillance import (
     ALL_MODES,
     LookObservation,
+    LookRecord,
+    OutcomeResult,
     ProtocolError,
+    SurveillanceResult,
     run_surveillance,
     type1_report,
 )
@@ -41,6 +52,205 @@ def null_control_series(n_controls, n_looks, e=5.0, seed=0):
         increments = rng.poisson(e, size=n_looks)
         out[f"nc-{i:02d}"] = list(np.cumsum(increments))
     return out
+
+
+def reference_surveillance(schedule, looks, negative_control_ids, modes, *, leave_one_out):
+    """The per-outcome scoring loop that the columnar one replaced, kept as an exact oracle.
+
+    Each outcome-look is scored on its own: a scalar LLR call, then scalar
+    estimates, p-values and signal checks. Looks are assumed valid. The fits
+    go through `surveillance.fit_error_model` and `leave_one_out_models`, so a
+    test that replaces the fit replaces it here too.
+    """
+    control_ids = frozenset(negative_control_ids)
+    calibrate = any(m in modes for m in ("cal_p", "cal_maxsprt"))
+    uncal_cv = compute_cv(schedule, NO_REPLICATES).cv if "uncal_maxsprt" in modes else None
+    cal_cv_cache = {}
+
+    def cal_cv(model):
+        key = (model.mean, model.sd)
+        if key not in cal_cv_cache:
+            cal_cv_cache[key] = compute_calibrated_cv(schedule, model, NO_REPLICATES).cv
+        return cal_cv_cache[key]
+
+    def count_llr(counts):
+        if isinstance(counts, PoissonCounts):
+            return poisson_llr(counts.observed, counts.expected)
+        return binomial_llr(counts.exposed, counts.total, counts.null_proportion)
+
+    outcomes, current_counts, fallback_looks = {}, {}, []
+    last_full_model = None
+    for obs in looks:
+        t = obs.look_index
+        current_counts.update(obs.counts)
+        estimates = {}
+        for outcome_id in sorted(current_counts):
+            try:
+                estimates[outcome_id] = mle_and_se(current_counts[outcome_id])
+            except UninformativeProfileError:
+                pass
+
+        full_model, control_models = None, {}
+        if calibrate:
+            informative_controls = sorted(c for c in control_ids if c in estimates)
+            control_profiles = [current_counts[c] for c in informative_controls]
+            if len(control_profiles) >= 2:
+                try:
+                    full_model = surveillance_module.fit_error_model(control_profiles)
+                except FitError:
+                    full_model = None
+            if full_model is None:
+                full_model = last_full_model
+                fallback_looks.append(t)
+            else:
+                last_full_model = full_model
+                if leave_one_out and len(control_profiles) >= 3:
+                    loo = surveillance_module.leave_one_out_models(control_profiles)
+                    control_models = {
+                        cid: (m if m is not None else full_model)
+                        for cid, m in zip(informative_controls, loo)
+                    }
+
+        for outcome_id in sorted(current_counts):
+            result = outcomes.get(outcome_id)
+            if result is None:
+                result = OutcomeResult(
+                    outcome_id,
+                    outcome_id in control_ids,
+                    first_signal_look={m: None for m in modes},
+                )
+                result.looks = [
+                    LookRecord(look=k, informative=False, signals={m: False for m in modes})
+                    for k in range(1, t)
+                ]
+                outcomes[outcome_id] = result
+
+            llr = count_llr(current_counts[outcome_id])
+            informative = outcome_id in estimates
+            model = control_models.get(outcome_id, full_model) if calibrate else None
+            beta_hat = se = p_unc = p_cal = None
+            if informative:
+                beta_hat, se = estimates[outcome_id]
+                p_unc = uncalibrated_p(beta_hat, se)
+                if calibrate:
+                    p_cal = calibrated_p(beta_hat, se, model)
+            cv_cal = cal_cv(model) if "cal_maxsprt" in modes else None
+
+            signals = {}
+            for mode in modes:
+                if mode == "uncal_maxsprt":
+                    fired = llr > uncal_cv
+                elif mode == "cal_maxsprt":
+                    fired = llr > cv_cal
+                elif mode == "uncal_p":
+                    fired = p_unc is not None and p_unc < schedule.alpha
+                else:
+                    fired = p_cal is not None and p_cal < schedule.alpha
+                signals[mode] = fired
+                if fired and result.first_signal_look[mode] is None:
+                    result.first_signal_look[mode] = t
+            result.looks.append(
+                LookRecord(
+                    look=t,
+                    informative=informative,
+                    beta_hat=beta_hat,
+                    se=se,
+                    llr=llr,
+                    p_uncalibrated=p_unc,
+                    p_calibrated=p_cal,
+                    cv=uncal_cv,
+                    cv_calibrated=cv_cal,
+                    error_model=model,
+                    signals=signals,
+                )
+            )
+    return SurveillanceResult(outcomes, tuple(modes), schedule.alpha, fallback_looks)
+
+
+def mixed_looks():
+    """Three looks of Poisson and binomial outcomes side by side, controls of both kinds.
+
+    "late" is first seen at look 2 and "gap" is absent from look 2; "none"
+    has no events and "all-in" has every case exposed at every look, so
+    neither is ever informative; "rising" stays at zero events until look 3.
+    """
+    rng = np.random.default_rng(17)
+    per_look = [{}, {}, {}]
+    for i in range(8):
+        observed = np.cumsum(rng.poisson(6.0, size=3))
+        for t in range(3):
+            per_look[t][f"nc-p{i}"] = PoissonCounts(int(observed[t]), 6.0 * (t + 1))
+    for i in range(6):
+        totals = np.cumsum(rng.poisson(10.0, size=3)) + 2
+        exposed = np.minimum(np.cumsum(rng.binomial(10, 0.3, size=3)) + 1, totals - 1)
+        exposed = np.maximum.accumulate(exposed)
+        for t in range(3):
+            per_look[t][f"nc-b{i}"] = BinomialCounts(int(exposed[t]), int(totals[t]), 0.3)
+    for t in range(3):
+        per_look[t]["hot-p"] = PoissonCounts(9 + 12 * t, 6.0 * (t + 1))
+        per_look[t]["hot-b"] = BinomialCounts(6 + 7 * t, 10 + 10 * t, 0.3)
+        per_look[t]["none"] = PoissonCounts(0, 6.0 * (t + 1))
+        per_look[t]["all-in"] = BinomialCounts(3 + t, 3 + t, 0.3)
+        per_look[t]["rising"] = PoissonCounts(0 if t < 2 else 11, 6.0 * (t + 1))
+    per_look[1]["late"] = PoissonCounts(14, 12.0)
+    per_look[2]["late"] = PoissonCounts(19, 18.0)
+    per_look[0]["gap"] = BinomialCounts(4, 9, 0.3)
+    per_look[2]["gap"] = BinomialCounts(11, 20, 0.3)
+    controls = [k for k in per_look[0] if k.startswith("nc-")]
+    return [LookObservation(t + 1, per_look[t]) for t in range(3)], controls
+
+
+def assert_matches_reference(schedule, looks, controls, modes, leave_one_out):
+    result = run_surveillance(schedule, looks, controls, modes, leave_one_out=leave_one_out)
+    reference = reference_surveillance(
+        schedule, looks, controls, modes, leave_one_out=leave_one_out
+    )
+    assert result.outcomes == reference.outcomes
+    assert result.fallback_looks == reference.fallback_looks
+    assert result.modes == reference.modes and result.alpha == reference.alpha
+    for oid, outcome in result.outcomes.items():
+        for rec, ref in zip(outcome.looks, reference.outcomes[oid].looks):
+            # the same Python types, so every writer formats them the same way
+            assert [type(v) for v in vars(rec).values()] == [type(v) for v in vars(ref).values()]
+            assert [type(v) for v in rec.signals.values()] == [bool] * len(modes)
+    return result
+
+
+class TestMatchesPerOutcomeReference:
+    @pytest.mark.parametrize("leave_one_out", [True, False])
+    @pytest.mark.parametrize("modes", [ALL_MODES, ("uncal_maxsprt",), ("cal_p", "uncal_p")])
+    def test_mixed_kinds_late_absent_and_uninformative(self, modes, leave_one_out):
+        looks, controls = mixed_looks()
+        schedule = poisson_schedule(n_looks=3, e=6.0)
+        result = assert_matches_reference(schedule, looks, controls, modes, leave_one_out)
+        assert result.outcomes["late"].looks[0].llr is None
+        assert not any(r.informative for r in result.outcomes["none"].looks)
+        assert not any(r.informative for r in result.outcomes["all-in"].looks)
+        # the fixture reaches the signal bookkeeping in every mode
+        for mode in modes:
+            assert result.outcomes["hot-p"].first_signal_look[mode] is not None
+            assert result.outcomes["hot-b"].first_signal_look[mode] is not None
+            assert any(o.first_signal_look[mode] is None for o in result.outcomes.values())
+
+    @pytest.mark.parametrize("leave_one_out", [True, False])
+    def test_fallback_look(self, monkeypatch, leave_one_out):
+        looks, controls = mixed_looks()
+        real_fit = surveillance_module.fit_error_model
+
+        def poisson_events(profiles):
+            return sum(getattr(p, "observed", 0) for p in profiles)
+
+        look_2_events = poisson_events(looks[1].counts[c] for c in controls)
+
+        def fit_failing_at_look_2(profiles):
+            if poisson_events(profiles) == look_2_events:
+                raise FitError("no finite optimum")
+            return real_fit(profiles)
+
+        monkeypatch.setattr(surveillance_module, "fit_error_model", fit_failing_at_look_2)
+        schedule = poisson_schedule(n_looks=3, e=6.0)
+        result = assert_matches_reference(schedule, looks, controls, ALL_MODES, leave_one_out)
+        assert result.fallback_looks == [2]
 
 
 class TestRunSurveillance:
