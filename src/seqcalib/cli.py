@@ -141,6 +141,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     repeats = args.repeats if args.repeats is not None else (
         FULL_REPEATS if args.full_scale else DESK_REPEATS
     )
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
     scenarios = paper_scenarios(repeats=repeats, base_seed=args.seed)
     if args.list:
         for s in scenarios:
@@ -154,8 +156,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         scenarios = matches
 
     tasks = [(s, repeats) for s in scenarios]
-    if args.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    if args.workers > 1 and len(tasks) > 1:  # a forked pool starts every worker at once
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(tasks))) as pool:
             reports = list(pool.map(_scenario_task, tasks))
     else:
         reports = [_scenario_task(t) for t in tasks]

@@ -80,19 +80,18 @@ class _Prepared:
 
     Rows run normal approximations, file grids, Poisson counts, binomial counts;
     `position` maps each row to its profile's input index. `mode` and `width`,
-    the MLE and SE of each non-normal row, place its quadrature nodes, and
-    `peak`, its log-likelihood at the mode, is what it is evaluated against.
+    the MLE and SE of each non-normal row, place its quadrature nodes.
     """
 
     norm_beta: np.ndarray
     norm_var: np.ndarray
     grid_x: tuple[np.ndarray, ...]
     grid_ll: tuple[np.ndarray, ...]  # less the grid's peak
+    grid_slope: tuple[np.ndarray, ...]  # per segment, padded with the end continuations
     poisson: np.ndarray  # observed counts
     binomial: np.ndarray  # columns: exposed, total
     mode: np.ndarray
     width: np.ndarray
-    peak: np.ndarray
     position: np.ndarray
     n_excluded: int
 
@@ -112,11 +111,11 @@ class _Prepared:
             self.norm_var[keep[:a]],
             tuple(x for x, k in zip(self.grid_x, keep[a:b]) if k),
             tuple(ll for ll, k in zip(self.grid_ll, keep[a:b]) if k),
+            tuple(sl for sl, k in zip(self.grid_slope, keep[a:b]) if k),
             self.poisson[keep[b:c]],
             self.binomial[keep[c:]],
             self.mode[keep[a:]],
             self.width[keep[a:]],
-            self.peak[keep[a:]],
             self.position[keep],
             self.n_excluded,
         )
@@ -124,7 +123,7 @@ class _Prepared:
 
 def _prepare(profiles: Sequence[LikelihoodProfile]) -> _Prepared:
     """Stack the profiles, dropping and counting file grids without a usable maximum."""
-    # rows are (input index, mode or estimate, width or variance, peak, payload)
+    # rows are (input index, mode or estimate, width or variance, payload)
     normal, grids, poisson, binomial, excluded = [], [], [], [], 0
     for index, pr in enumerate(profiles):
         if isinstance(pr, NormalApprox):
@@ -136,24 +135,24 @@ def _prepare(profiles: Sequence[LikelihoodProfile]) -> _Prepared:
             excluded += 1
             continue
         if isinstance(pr, GridProfile):
-            grids.append((index, mode, width, pr.log_likelihoods.max(), pr))
+            grids.append((index, mode, width, pr))
         elif isinstance(pr, PoissonCounts):
-            peak = count_log_likelihood(mode, pr.observed, pr.expected, pr.offset)
-            poisson.append((index, mode, width, peak, pr.observed))
+            poisson.append((index, mode, width, pr.observed))
         else:
-            peak = count_log_likelihood(mode, pr.exposed, pr.null_proportion, pr.offset, pr.total)
-            binomial.append((index, mode, width, peak, (pr.exposed, pr.total)))
+            binomial.append((index, mode, width, (pr.exposed, pr.total)))
     rows = grids + poisson + binomial
+    grid_ll = tuple(r[3].log_likelihoods - r[3].log_likelihoods.max() for r in grids)
+    slopes = [np.diff(y) / np.diff(r[3].grid_points) for r, y in zip(grids, grid_ll)]
     return _Prepared(
         np.array([r[1] for r in normal]),
         np.array([r[2] for r in normal]),
-        tuple(r[4].grid_points for r in grids),
-        tuple(r[4].log_likelihoods - r[3] for r in grids),
-        np.array([r[4] for r in poisson], dtype=float),
-        np.array([r[4] for r in binomial], dtype=float).reshape(-1, 2),
+        tuple(r[3].grid_points for r in grids),
+        grid_ll,
+        tuple(np.concatenate(([max(sl[0], 0.0)], sl, [min(sl[-1], 0.0)])) for sl in slopes),
+        np.array([r[3] for r in poisson], dtype=float),
+        np.array([r[3] for r in binomial], dtype=float).reshape(-1, 2),
         np.array([r[1] for r in rows]),
         np.array([r[2] for r in rows]),
-        np.array([r[3] for r in rows]),
         np.array([r[0] for r in normal + rows], dtype=int),
         excluded,
     )
@@ -167,11 +166,10 @@ def _node_log_likelihoods(prep: _Prepared, delta: np.ndarray) -> tuple[np.ndarra
     points and, beyond them, continue an end segment falling away or stay level.
     """
     ll, score = np.empty_like(delta), np.empty_like(delta)
-    for i, (x, y) in enumerate(zip(prep.grid_x, prep.grid_ll)):
+    for i, (x, y, slope) in enumerate(zip(prep.grid_x, prep.grid_ll, prep.grid_slope)):
         beta = prep.mode[i] + delta[i]
         j = np.searchsorted(x, beta)  # beta lies in (x[j-1], x[j]]
-        slope = np.diff(y) / np.diff(x)
-        score[i] = np.concatenate(([max(slope[0], 0.0)], slope, [min(slope[-1], 0.0)]))[j]
+        score[i] = slope[j]
         anchor = np.maximum(j - 1, 0)
         ll[i] = y[anchor] + score[i] * (beta - x[anchor])
     g, p = len(prep.grid_x), len(prep.grid_x) + len(prep.poisson)
@@ -232,6 +230,14 @@ def _evaluate(mu: float, sd: float, prep: _Prepared) -> tuple[float, np.ndarray]
     return value, grad
 
 
+def _evaluate_at_zero_sd(mu: float, prep: _Prepared) -> tuple[float, float]:
+    """_evaluate's value and mu-derivative at sd = 0: each row's likelihood, taken once, at mu."""
+    dev, var = prep.norm_beta - mu, prep.norm_var
+    ll, score = _node_log_likelihoods(prep, (mu - prep.mode)[:, None])
+    value = np.sum(-0.5 * (_LOG_2PI + np.log(var)) - dev**2 / (2.0 * var)) + np.sum(ll)
+    return float(value), float(np.sum(dev / var) + np.sum(score))
+
+
 def marginal_log_likelihood(mu: float, sd: float, profiles: Iterable[LikelihoodProfile]) -> float:
     """Log marginal likelihood of (mu, sd) given negative-control profiles.
 
@@ -251,12 +257,24 @@ def marginal_log_likelihood(mu: float, sd: float, profiles: Iterable[LikelihoodP
         raise ValueError("mu must be finite")
     if not (math.isfinite(sd) and sd >= 0):
         raise ValueError("sd must be nonnegative and finite")
-    prep = _prepare(list(profiles))
+    profiles = list(profiles)
+    prep = _prepare(profiles)
     if prep.n_excluded:
         raise CurvatureError(f"{prep.n_excluded} grid profile(s) have no usable interior maximum")
     if prep.n_profiles == 0:
         raise ValueError("at least one profile is required")
-    return _evaluate(mu, sd, prep)[0] + float(np.sum(prep.peak))
+    peaks = [_peak(profiles[i], m) for i, m in zip(prep.position[prep.norm_beta.size :], prep.mode)]
+    value = _evaluate(mu, sd, prep)[0] if sd > 0 else _evaluate_at_zero_sd(mu, prep)[0]
+    return value + float(np.sum(peaks))
+
+
+def _peak(pr: LikelihoodProfile, mode: float) -> float:
+    """A non-normal profile's log-likelihood at its mode."""
+    if isinstance(pr, GridProfile):
+        return pr.log_likelihoods.max()
+    if isinstance(pr, PoissonCounts):
+        return count_log_likelihood(mode, pr.observed, pr.expected, pr.offset)
+    return count_log_likelihood(mode, pr.exposed, pr.null_proportion, pr.offset, pr.total)
 
 
 def fit_error_model(profiles: Iterable[LikelihoodProfile]) -> ErrorModel:
@@ -302,10 +320,10 @@ def _fit(prep: _Prepared) -> ErrorModel:
         gain = 0.5 * res.jac @ np.linalg.solve(hess, res.jac) / max(abs(res.fun), 1.0)
         converged = min(np.linalg.eigvalsh(hess)) > 0 and gain <= _FIT_OPTIONS["ftol"]
     try:
-        zero_mean = brentq(lambda m: _evaluate(m, 0.0, prep)[1][0], mles.min(), mles.max())
+        zero_mean = brentq(lambda m: _evaluate_at_zero_sd(m, prep)[1], mles.min(), mles.max())
     except ValueError:  # the derivative keeps its sign over the MLEs' range
         zero_mean = mean
-    if _evaluate(zero_mean, 0.0, prep)[0] >= -res.fun:
+    if _evaluate_at_zero_sd(zero_mean, prep)[0] >= -res.fun:
         mean, sd = zero_mean, 0.0
     return ErrorModel(mean, sd, prep.n_profiles, bool(converged), prep.n_excluded)
 

@@ -87,10 +87,10 @@ class GridProfile:
             raise ValueError("grid_points and log_likelihoods must be 1-D and equal length")
         if x.size < 3:
             raise ValueError("grid needs at least 3 points")
-        if not np.all(np.diff(x) > 0):
-            raise ValueError("grid_points must be strictly ascending")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(ll))):
             raise ValueError("grid values must be finite")
+        if not np.all(np.diff(x) > 0):
+            raise ValueError("grid_points must be strictly ascending")
         x.flags.writeable = False
         ll.flags.writeable = False
         object.__setattr__(self, "grid_points", x)

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from seqcalib import fileio
+from seqcalib import cli, fileio
 from seqcalib.cli import main
 from seqcalib.likelihood import NormalApprox
 from seqcalib.maxsprt import LookSchedule
+from seqcalib.simharness import ErrorRateReport, ErrorRateRow
 
 from test_errormodel import grid_search_oracle, synthetic_controls
 
@@ -328,3 +329,51 @@ class TestSimulate:
         assert parallel.read_text() == serial.read_text()
         reports = read_output(parallel, fileio.read_simulation_rows)
         assert len(reports) == 12
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records its size and maps in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+class TestSimulateWorkers:
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        """Names of the scenarios run, each by a stub that returns one row."""
+        names = []
+
+        def stub(scenario, repeats):
+            names.append(scenario.name)
+            return ErrorRateReport(scenario.name, [ErrorRateRow(0, "uncal_p", 1.0, "type1", 0.0)])
+
+        monkeypatch.setattr(cli, "run_scenario", stub)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(RecordingExecutor, "sizes", [])
+        return names
+
+    @pytest.mark.parametrize("workers,size", [(500, 12), (12, 12), (3, 3)])
+    def test_pool_is_no_larger_than_the_scenario_count(self, ran, tmp_path, workers, size):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--workers", str(workers), "--out", str(out)]) == 0
+        assert RecordingExecutor.sizes == [size]
+        reports = read_output(out, fileio.read_simulation_rows)
+        assert [r.scenario for r in reports] == ran and len(ran) == 12
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_fewer_than_one_worker_exits_2(self, ran, capsys, workers):
+        assert main(["simulate", "--workers", workers]) == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert RecordingExecutor.sizes == [] and ran == []

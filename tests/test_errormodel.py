@@ -402,6 +402,16 @@ class TestGradient:
         for mu in (-0.2, 0.0, 0.3):
             assert abs(errormodel._evaluate(mu, 0.0, prep)[1][1]) <= 1e-12
 
+    @pytest.mark.parametrize("kind", sorted(PROFILE_SETS))
+    def test_one_point_sd_zero_objective_matches_the_quadrature(self, kind):
+        prep = errormodel._prepare(PROFILE_SETS[kind]())
+        for mu in (-0.2, 0.0, 0.3):
+            value, d_mu = errormodel._evaluate_at_zero_sd(mu, prep)
+            expected, grad = errormodel._evaluate(mu, 0.0, prep)
+            tolerance = 1e-12 * max(1.0, abs(expected))
+            assert abs(value - expected) <= tolerance
+            assert abs(d_mu - grad[0]) <= tolerance
+
 
 class TestLeaveOneOut:
     def test_identical_profiles_give_identical_models(self):
@@ -444,6 +454,23 @@ class TestLeaveOneOut:
             assert model == fit_error_model(profiles[:i] + profiles[i + 1 :])
         assert models[2].n_excluded == 0
         assert all(m.n_excluded == 1 for j, m in enumerate(models) if j != 2)
+
+    def test_matches_fit_without_each_profile_over_several_grids(self):
+        # grids of 101, 101, 101 and 1000 points between a count and an estimate,
+        # so a slope array left with the wrong grid changes the fit or fails it
+        count = count_controls(1, 0.1, 0.2, seed=82, design="poisson")[0]
+        profiles = [
+            narrow_grid(-0.1, 0.15, 0.6),
+            count,
+            narrow_grid(0.2, 0.3, 1.2),
+            NormalApprox(0.15, 0.1),
+            narrow_grid(0.35, 0.1, 0.3),
+            profile_from_counts(PoissonCounts(14, 10.0)),
+        ]
+        models = leave_one_out_models(profiles)
+        for i, model in enumerate(models):
+            assert model is not None
+            assert model == fit_error_model(profiles[:i] + profiles[i + 1 :])
 
     def test_requires_three_profiles(self):
         with pytest.raises(InsufficientControlsError):

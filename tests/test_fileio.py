@@ -68,6 +68,16 @@ class TestGridProfiles:
         with pytest.raises(fileio.FileFormatError):
             fileio.read_grid_profiles(io.StringIO(text))
 
+    def test_nan_grid_point_reported_as_not_finite(self):
+        text = (
+            "# seqcalib grid-profiles v1\n"
+            "outcome_id,log_rr_grid_point,log_likelihood\n"
+            "a,nan,1\na,0.0,0\na,2.0,0\n"
+        )
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_grid_profiles(io.StringIO(text))
+        assert str(err.value) == "line 3: grid values must be finite"
+
 
 class TestSchedule:
     def test_roundtrip_poisson(self):

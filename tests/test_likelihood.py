@@ -291,6 +291,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             GridProfile([0.0, 1.0, 2.0], [0.0, math.inf, 0.0])
 
+    def test_grid_reports_a_nan_point_as_not_finite(self):
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            GridProfile([0.0, math.nan, 1.0], [0.0, 1.0, 0.0])
+
     def test_poisson_counts_validation(self):
         with pytest.raises(ValueError):
             PoissonCounts(-1, 5)
