@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln, logsumexp, xlog1py, xlogy
+from scipy.special import expit, gammaln, xlog1py, xlogy
 
 from .errormodel import ErrorModel
 from .likelihood import binomial_llr, poisson_llr, tilted_proportion
@@ -57,9 +57,9 @@ GH_POINTS = 32
 _GH_X, _GH_W = np.polynomial.hermite.hermgauss(GH_POINTS)
 # the recursion carries each count's mass under its base row, which is its
 # mass under the mixture divided by its weight; a row keeps probabilities
-# down to 1e-24 over its largest weight, so a lower cap on the log weight
-# gives narrower bands but more rows
-_MAX_LOG_WEIGHT = 100.0
+# down to 1e-24 over its largest weight, exp(_LOG_DROP - log weight), which
+# stays a normal double (above exp(-708)) with margin up to this log weight
+_MAX_LOG_WEIGHT = 600.0
 # the weight tables span every count up to the largest that survives the
 # last look: a few hundred MB at this size
 _MAX_COUNTS = 1 << 20
@@ -206,21 +206,24 @@ class _NullRecursion:
         self._modes = self._log_weights = np.zeros(0)
         self._resize(min(2 * int(null_mean[-1]) + 16, self.cap, _MAX_COUNTS))
 
-    def _log_ratio(self, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Log likelihood ratio of final count x under innovation z against z = 0,
-        with its first and second derivatives in z. x and z are 1-D and equal length."""
+    def _log_ratio(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Log likelihood ratio of final count x under innovation z against z = 0.
+        x and z are 1-D and equal length."""
+        s = self.sd
+        if self.poisson:
+            return s * z * x - (self.rate * np.exp(s * z) - self.rate)
+        survive = np.logaddexp(0.0, self.log_odds + s * z) - np.logaddexp(0.0, self.log_odds)
+        return s * z * x - (self.trials * survive).sum(axis=0)
+
+    def _log_ratio_derivatives(self, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and second derivatives in z of the log likelihood ratio."""
         s = self.sd
         if self.poisson:
             rate = self.rate * np.exp(s * z)
-            return s * z * x - (rate - self.rate), s * (x - rate), -s * s * rate
-        u = self.log_odds + s * z
-        q = expit(u)
-        survive = self.trials * (np.logaddexp(0.0, u) - np.logaddexp(0.0, self.log_odds))
-        return (
-            s * z * x - survive.sum(axis=0),
-            s * (x - (self.trials * q).sum(axis=0)),
-            -s * s * (self.trials * q * (1.0 - q)).sum(axis=0),
-        )
+            return s * (x - rate), -s * s * rate
+        q = expit(self.log_odds + s * z)
+        exposed = self.trials * q  # per group of looks alike
+        return s * (x - exposed.sum(axis=0)), -s * s * (exposed * (1.0 - q)).sum(axis=0)
 
     def _log_weight(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mode of z -> ratio(x, z) * phi(z) and the log of its integral, per count x.
@@ -233,7 +236,7 @@ class _NullRecursion:
         lo, hi = np.full_like(x, -40.0), np.full_like(x, 40.0)
         mode = np.zeros_like(x)
         for _ in range(100):
-            _, slope, curvature = self._log_ratio(x, mode)
+            slope, curvature = self._log_ratio_derivatives(x, mode)
             rising = slope > mode
             lo, hi = np.where(rising, mode, lo), np.where(rising, hi, mode)
             newton = mode - (slope - mode) / (curvature - 1.0)
@@ -241,11 +244,13 @@ class _NullRecursion:
             mode += step
             if np.max(np.abs(step)) < 1e-12:
                 break
-        scale = 1.0 / np.sqrt(1.0 - self._log_ratio(x, mode)[2])
+        scale = 1.0 / np.sqrt(1.0 - self._log_ratio_derivatives(x, mode)[1])
         z = mode + math.sqrt(2.0) * scale * _GH_X[:, None]  # nodes x counts
-        terms = self._log_ratio(np.broadcast_to(x, z.shape).ravel(), z.ravel())[0]
+        terms = self._log_ratio(np.broadcast_to(x, z.shape).ravel(), z.ravel())
         terms = terms.reshape(z.shape) + np.log(_GH_W)[:, None] + _GH_X[:, None] ** 2 - 0.5 * z**2
-        return mode, np.log(scale / math.sqrt(math.pi)) + logsumexp(terms, axis=0)
+        peak = terms.max(axis=0)
+        log_sum = np.log(np.exp(terms - peak).sum(axis=0)) + peak
+        return mode, np.log(scale / math.sqrt(math.pi)) + log_sum
 
     def _mixture(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Base innovations (rows), each count's row, and its weight:
@@ -256,8 +261,11 @@ class _NullRecursion:
         exp(-log ratio at any z)) gets weight 0. Rows sit at the modes of
         counts evenly spaced on the variance-stabilising scale of the count
         model (sqrt(x) for Poisson, arcsin(sqrt(x / n)) for binomial), which
-        keeps the log weights level, and are added until no log weight
-        exceeds _MAX_LOG_WEIGHT.
+        keeps the log weights level. Of the placements of 1, 2, 4, ... 256
+        rows whose largest log weight L is at most _MAX_LOG_WEIGHT, the one
+        with the least recursion work is used: each row's bands, and so its
+        convolutions, widen with its log tolerance _LOG_DROP - L, so the work
+        is taken as rows * (L - _LOG_DROP).
         """
         if self.sd == 0:
             return np.zeros(1), np.zeros(x.size, dtype=np.intp), np.ones(x.size)
@@ -266,12 +274,15 @@ class _NullRecursion:
         chunks = [self._log_weight(x[i : i + 4096]) for i in new]
         mode = self._modes = np.concatenate([self._modes, *(m for m, _ in chunks)])
         log_weight = self._log_weights = np.concatenate([self._log_weights, *(w for _, w in chunks)])
-        kept = log_weight - self._log_ratio(x, mode)[0] >= _LOG_DROP
+        kept = log_weight - self._log_ratio(x, mode) >= _LOG_DROP
         if not kept.any():  # the table ends below every count that matters
             return np.zeros(1), np.zeros(x.size, dtype=np.intp), np.zeros(x.size)
         n = self.cap - 1
         stable = np.sqrt(x[kept]) if self.poisson else np.arcsin(np.sqrt(x[kept] / n))
+        best, least = None, math.inf
         for n_rows in (1, 2, 4, 8, 16, 32, 64, 128, 256):
+            if n_rows * -_LOG_DROP >= least:  # more rows cost more at any weight
+                break
             if n_rows == 1:
                 rows = np.zeros(1)
             else:
@@ -279,13 +290,20 @@ class _NullRecursion:
                 anchors = spaced**2 if self.poisson else n * np.sin(spaced) ** 2
                 rows = np.interp(anchors, x[kept], mode[kept])
             row = np.searchsorted(0.5 * (rows[1:] + rows[:-1]), mode)  # nearest row
-            relative = log_weight - self._log_ratio(x, rows[row])[0]
-            if relative[kept].max() <= _MAX_LOG_WEIGHT:
-                return rows, row, np.exp(np.where(kept, relative, -np.inf))
-        raise CriticalValueError(
-            f"error model sd {self.sd:g} is too wide for an exact critical value "
-            f"over final counts up to {x.size - 1}"
-        )
+            relative = log_weight[kept] - self._log_ratio(x[kept], rows[row[kept]])
+            largest = relative.max()
+            work = n_rows * (max(largest, 0.0) - _LOG_DROP)  # as _resize sets log_tol
+            if largest <= _MAX_LOG_WEIGHT and work < least:
+                best, least = (rows, row, relative), work
+        if best is None:
+            raise CriticalValueError(
+                f"error model sd {self.sd:g} is too wide for an exact critical value "
+                f"over final counts up to {x.size - 1}"
+            )
+        rows, row, relative = best
+        weight = np.zeros(x.size)
+        weight[kept] = np.exp(relative)
+        return rows, row, weight
 
     def _resize(self, size: int) -> None:
         self.size = size
@@ -305,7 +323,7 @@ class _NullRecursion:
         start = np.zeros((1, self.rows.size))
         self._accrued = np.cumsum(np.vstack([start, mean]), axis=0)
         self._spread = np.cumsum(np.vstack([start, variance]), axis=0)
-        self._pmfs: dict[tuple[int, float], tuple[int, np.ndarray]] = {}
+        self._pmfs: dict[tuple, tuple[int, np.ndarray]] = {}
 
     def _llr(self, looks: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """LLR at each given look of the cumulative count given with it."""
@@ -347,9 +365,11 @@ class _NullRecursion:
         which they fall below the row's drop tolerance, and the values below
         it at either end are trimmed.
         """
-        single = len(looks) == 1
-        key = (row, float(self.increments[looks.start]))  # looks alike share a pmf
-        if single and key in self._pmfs:
+        if len(looks) == 1:  # looks alike share a pmf
+            key = (row, float(self.increments[looks.start]))
+        else:
+            key = (row, looks.start, looks.stop)
+        if key in self._pmfs:
             return self._pmfs[key]
         log_tol = self.log_tol[row]
         shift = self.mean + self.sd * self.rows[row]
@@ -369,7 +389,7 @@ class _NullRecursion:
                 + xlogy(k, q) + xlog1py(n - k, -q)
             )
         first, pmf = _trim(first, np.exp(log_pmf), math.exp(log_tol))
-        if single and pmf.size <= 4096:
+        if pmf.size <= 4096:
             self._pmfs[key] = first, pmf
         return first, pmf
 
@@ -510,7 +530,7 @@ def compute_calibrated_cv(
     the tilted null while the LLR is still computed against the unadjusted
     expectations. mc is accepted and ignored. Raises TypeError unless model
     is one ErrorModel, and CriticalValueError when the counts reach beyond
-    _MAX_COUNTS or the model is too wide for the base rows.
+    _MAX_COUNTS or no base rows keep the log weights within _MAX_LOG_WEIGHT.
     """
     if not isinstance(model, ErrorModel):
         raise TypeError(f"expected one ErrorModel, got {type(model).__name__}")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import gammaln, xlog1py, xlogy
 
 from seqcalib import maxsprt
 from seqcalib.errormodel import ErrorModel
@@ -99,6 +100,68 @@ def enumerated_cv(schedule, max_increment, model=None):
     alphas = np.array([probability[path_max > v].sum() for v in values])
     i = int(np.argmax(alphas <= schedule.alpha))
     return float(values[i]), float(alphas[i])
+
+
+def reference_alpha(schedule, model, c, nodes=200):
+    """Calibrated null probability that the LLR exceeds c at some look,
+    without base rows or mixture weights.
+
+    At each Gauss-Legendre node z the absorbing recursion runs under the
+    null tilted by mean + sd * z on log-gamma pmfs, with every count below
+    each look's limit kept, and its surviving mass is integrated over z.
+    The nodes span the range of z outside of which, by the tails of the
+    cumulative count, no path reaches a limit or every path passes the last
+    one, each but for a probability below 1e-20.
+    """
+    poisson = schedule.model == "poisson"
+    p = schedule.exposure_proportion
+    if poisson:
+        increments = np.asarray(schedule.expected_increments)
+        totals = schedule.cumulative_expected()
+    else:
+        increments = schedule.binomial_trials()
+        totals = np.cumsum(increments)
+    limits = []  # per look, the number of counts whose LLR is at most c
+    for total in totals:
+        if poisson:
+            counts = np.arange(2 * int(total) + 2)
+            while poisson_llr(counts[-1], total) <= c:
+                counts = np.arange(2 * counts.size)
+            llr = poisson_llr(counts, total)
+        else:
+            llr = binomial_llr(np.arange(total + 1), total, p)
+        limits.append(int(np.count_nonzero(llr <= c)))
+        assert np.all(llr[: limits[-1]] <= c)
+    limits = np.array(limits)
+
+    def counts_at(z, looks):
+        bias = model.mean + model.sd * z
+        if poisson:
+            return stats.poisson(looks * math.exp(bias))
+        return stats.binom(looks, tilted_proportion(p, bias))
+
+    def survived(z):
+        bias = model.mean + model.sd * z
+        f = np.ones(1)
+        for n, limit in zip(increments, limits):
+            if poisson:
+                k, rate = np.arange(limit), n * math.exp(bias)
+                log_pmf = xlogy(k, rate) - rate - gammaln(k + 1)
+            else:
+                k, q = np.arange(min(limit, n + 1)), tilted_proportion(p, bias)
+                log_pmf = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) + xlogy(k, q) + xlog1py(n - k, -q)
+            f = np.convolve(f, np.exp(log_pmf))[:limit]
+        return float(f.sum())
+
+    lo = hi = 0.0
+    while counts_at(lo, totals).sf(limits - 1).sum() >= 1e-20:
+        lo -= 1.0
+    while counts_at(hi, totals[-1]).cdf(limits[-1] - 1) >= 1e-20:
+        hi += 1.0
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    z = lo + (hi - lo) * (x + 1.0) / 2.0
+    inside = (hi - lo) / 2.0 * sum(wi * survived(zi) * stats.norm.pdf(zi) for wi, zi in zip(w, z))
+    return 1.0 - stats.norm.cdf(lo) - inside
 
 
 class TestComputeCv:
@@ -277,6 +340,31 @@ class TestComputeCalibratedCv:
         assert rows.cv == one_row.cv
         assert abs(rows.attained_alpha - one_row.attained_alpha) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "schedule, model",
+        [
+            (
+                LookSchedule((393.0,) * 4, alpha=0.05, model="binomial", exposure_proportion=0.115),
+                ErrorModel(0.24, 0.17),
+            ),
+            (LookSchedule((20.0,) * 4, alpha=0.05), ErrorModel(0.2, 0.3)),
+            (LookSchedule((60.0,) * 10, alpha=0.05), ErrorModel(0.0, 1.0)),
+        ],
+    )
+    def test_matches_reference_without_rows(self, monkeypatch, schedule, model):
+        result = compute_calibrated_cv(schedule, model)
+        reference = reference_alpha(schedule, model, result.cv)
+        assert abs(result.attained_alpha - reference) <= 1e-11 * reference
+        below = maxsprt._NullRecursion(schedule, model).candidates(0.0, result.cv)[-2]
+        assert reference_alpha(schedule, model, below) > schedule.alpha
+        # a lower cap on the log weight forces more base rows
+        chosen = maxsprt._NullRecursion(schedule, model).rows.size
+        monkeypatch.setattr(maxsprt, "_MAX_LOG_WEIGHT", 3.0)
+        assert maxsprt._NullRecursion(schedule, model).rows.size > chosen
+        more = compute_calibrated_cv(schedule, model)
+        assert more.cv == result.cv
+        assert abs(more.attained_alpha - reference) <= 1e-11 * reference
+
 
 def assert_matches_sampled_rate(schedule, result, model=None, n=20_000, seed=5):
     rate = float(np.mean(sample_llr_max(schedule, n, seed=seed, model=model) > result.cv))
@@ -307,6 +395,36 @@ class TestLargeDesigns:
         result = compute_calibrated_cv(schedule, model)
         assert 0.0 < result.attained_alpha <= 0.05
         assert_matches_sampled_rate(schedule, result, model)
+
+    @pytest.mark.parametrize(
+        "schedule, model, n_rows",
+        [
+            (LookSchedule((2000.0,) * 52, alpha=0.05), ErrorModel(0.0, 0.2), 32),
+            (LookSchedule((2000.0,) * 52, alpha=0.05), ErrorModel(0.0, 0.4), 32),
+            (LookSchedule((2000.0,) * 52, alpha=0.05), ErrorModel(0.0, 1.0), 64),
+            (LookSchedule((38.46,) * 52, alpha=0.05), ErrorModel(0.0, 2.0), 8),
+            (LookSchedule((300.0,) * 10, alpha=0.05), ErrorModel(0.0, 2.0), 8),
+            (
+                LookSchedule((2000.0,) * 52, alpha=0.05, model="binomial", exposure_proportion=0.115),
+                ErrorModel(0.0, 0.2),
+                16,
+            ),
+            (
+                LookSchedule((2000.0,) * 52, alpha=0.05, model="binomial", exposure_proportion=0.115),
+                ErrorModel(0.0, 1.0),
+                16,
+            ),
+            (
+                LookSchedule((393.0,) * 4, alpha=0.05, model="binomial", exposure_proportion=0.115),
+                ErrorModel(0.24, 0.17),
+                1,
+            ),
+        ],
+    )
+    def test_rows_chosen_by_work(self, schedule, model, n_rows):
+        # the placement with the least recursion work: many rows on large
+        # designs, whose convolutions dominate, one on a small binomial design
+        assert maxsprt._NullRecursion(schedule, model).rows.size == n_rows
 
     def test_counts_beyond_the_supported_range_raise(self):
         # 2 million expected events: the count tables stop at 2**20
