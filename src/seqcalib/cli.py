@@ -81,22 +81,26 @@ def _build_looks(schedule: LookSchedule, rows: list[dict]) -> list[LookObservati
         oid = row["outcome_id"]
         if oid in counts:
             raise fileio.FileFormatError(f"duplicate row for outcome {oid} at look {t}")
-        if schedule.model == "poisson":
-            if row["cumulative_total"] is not None:
-                raise fileio.FileFormatError(
-                    f"outcome {oid} look {t}: cumulative_total does not apply to Poisson data"
-                )
-            counts[oid] = PoissonCounts(row["cumulative_observed"], float(expected_cum[t - 1]))
-        else:
-            if row["cumulative_total"] is None:
-                raise fileio.FileFormatError(
-                    f"outcome {oid} look {t}: binomial data needs cumulative_total"
-                )
-            counts[oid] = BinomialCounts(
-                row["cumulative_observed"],
-                row["cumulative_total"],
-                schedule.exposure_proportion,
+        poisson = schedule.model == "poisson"
+        if poisson and row["cumulative_total"] is not None:
+            raise fileio.FileFormatError(
+                f"outcome {oid} look {t}: cumulative_total does not apply to Poisson data"
             )
+        if not poisson and row["cumulative_total"] is None:
+            raise fileio.FileFormatError(
+                f"outcome {oid} look {t}: binomial data needs cumulative_total"
+            )
+        try:
+            if poisson:
+                counts[oid] = PoissonCounts(row["cumulative_observed"], float(expected_cum[t - 1]))
+            else:
+                counts[oid] = BinomialCounts(
+                    row["cumulative_observed"],
+                    row["cumulative_total"],
+                    schedule.exposure_proportion,
+                )
+        except ValueError as exc:
+            raise fileio.FileFormatError(f"outcome {oid} look {t}: {exc}") from exc
     looks = [LookObservation(t, by_look[t]) for t in sorted(by_look)]
     if [obs.look_index for obs in looks] != list(range(1, len(looks) + 1)):
         raise fileio.FileFormatError("looks must be numbered 1..T without gaps")
@@ -132,11 +136,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scenario_task(payload) -> object:
-    scenario, repeats = payload
-    return run_scenario(scenario, repeats=repeats)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     repeats = args.repeats if args.repeats is not None else (
         FULL_REPEATS if args.full_scale else DESK_REPEATS
@@ -155,12 +154,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             return 2
         scenarios = matches
 
-    tasks = [(s, repeats) for s in scenarios]
-    if args.workers > 1 and len(tasks) > 1:  # a forked pool starts every worker at once
-        with ProcessPoolExecutor(max_workers=min(args.workers, len(tasks))) as pool:
-            reports = list(pool.map(_scenario_task, tasks))
+    if args.workers > 1 and len(scenarios) > 1:  # a forked pool starts every worker at once
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(scenarios))) as pool:
+            reports = list(pool.map(run_scenario, scenarios))
     else:
-        reports = [_scenario_task(t) for t in tasks]
+        reports = [run_scenario(s) for s in scenarios]
 
     with ExitStack() as stack:
         out = _open_out(stack, args.out)

@@ -11,7 +11,7 @@ negative-control profiles, integrating the bias out of each profile's likelihood
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -98,27 +98,6 @@ class _Prepared:
     @property
     def n_profiles(self) -> int:
         return self.position.size
-
-    def without(self, index: int) -> _Prepared:
-        """The same rows without the input profile at `index`."""
-        if index not in self.position:  # an excluded profile
-            return replace(self, n_excluded=self.n_excluded - 1)
-        keep = self.position != index
-        a, b = self.norm_beta.size, self.norm_beta.size + len(self.grid_x)
-        c = b + len(self.poisson)
-        return _Prepared(
-            self.norm_beta[keep[:a]],
-            self.norm_var[keep[:a]],
-            tuple(x for x, k in zip(self.grid_x, keep[a:b]) if k),
-            tuple(ll for ll, k in zip(self.grid_ll, keep[a:b]) if k),
-            tuple(sl for sl, k in zip(self.grid_slope, keep[a:b]) if k),
-            self.poisson[keep[b:c]],
-            self.binomial[keep[c:]],
-            self.mode[keep[a:]],
-            self.width[keep[a:]],
-            self.position[keep],
-            self.n_excluded,
-        )
 
 
 def _prepare(profiles: Sequence[LikelihoodProfile]) -> _Prepared:
@@ -295,10 +274,7 @@ def fit_error_model(profiles: Iterable[LikelihoodProfile]) -> ErrorModel:
         FitError: The fit ended without a finite objective.
         UninformativeProfileError: Counts without an interior maximum.
     """
-    return _fit(_prepare(list(profiles)))
-
-
-def _fit(prep: _Prepared) -> ErrorModel:
+    prep = _prepare(list(profiles))
     if prep.n_profiles < 2:
         raise InsufficientControlsError(
             f"need at least 2 usable negative-control profiles, got {prep.n_profiles}"
@@ -331,18 +307,16 @@ def _fit(prep: _Prepared) -> ErrorModel:
 def leave_one_out_models(profiles: Sequence[LikelihoodProfile]) -> list[ErrorModel | None]:
     """Fit one model per profile, each excluding that profile from the fit.
 
-    The profiles are prepared once and each fit runs on the remaining rows, so
-    entry i equals fit_error_model of the profiles without profile i. Entries
-    are None where the reduced fit failed, without aborting the other fits.
+    Entry i is fit_error_model of the profiles without profile i, or None where
+    that fit failed, without aborting the other fits.
     """
     profiles = list(profiles)
     if len(profiles) < 3:
         raise InsufficientControlsError("leave-one-out requires at least 3 profiles")
-    prep = _prepare(profiles)
     models: list[ErrorModel | None] = []
     for i in range(len(profiles)):
         try:
-            models.append(_fit(prep.without(i)))
+            models.append(fit_error_model(profiles[:i] + profiles[i + 1 :]))
         except (InsufficientControlsError, FitError):
             models.append(None)
     return models

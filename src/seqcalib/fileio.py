@@ -17,7 +17,7 @@ from .errormodel import ErrorModel
 from .likelihood import GridProfile, NormalApprox
 from .maxsprt import CriticalValueResult, LookSchedule
 from .simharness import ErrorRateReport, ErrorRateRow
-from .surveillance import SurveillanceResult
+from .surveillance import ALL_MODES, SurveillanceResult
 
 __all__ = [
     "FileFormatError",
@@ -87,10 +87,7 @@ _RESULT_COLUMNS: dict[str, _Parser] = {
     "p_calibrated": _optional_float,
     "cv": _optional_float,
     "cv_calibrated": _optional_float,
-    "signal_uncal_p": _optional(_true_false),
-    "signal_uncal_maxsprt": _optional(_true_false),
-    "signal_cal_p": _optional(_true_false),
-    "signal_cal_maxsprt": _optional(_true_false),
+    **{f"signal_{mode}": _optional(_true_false) for mode in ALL_MODES},
 }
 
 
@@ -194,11 +191,16 @@ def write_estimates(
 
 
 def read_grid_profiles(f: TextIO) -> list[GridProfile]:
-    """Columns: outcome_id, log_rr_grid_point, log_likelihood (rows grouped per outcome)."""
+    """Columns: outcome_id, log_rr_grid_point, log_likelihood (each outcome's rows contiguous)."""
     schema = {"outcome_id": str, "log_rr_grid_point": float, "log_likelihood": float}
     grouped: dict[str, tuple[int, list[float], list[float]]] = {}
+    previous = None
     for line, row in _read_table(f, schema):
-        _, xs, lls = grouped.setdefault(row["outcome_id"], (line, [], []))
+        oid = row["outcome_id"]
+        if oid != previous and oid in grouped:
+            raise FileFormatError(f"rows of outcome {oid} are not contiguous", line)
+        previous = oid
+        _, xs, lls = grouped.setdefault(oid, (line, [], []))
         xs.append(row["log_rr_grid_point"])
         lls.append(row["log_likelihood"])
     return [
@@ -345,10 +347,7 @@ def write_results_table(
                     rec.p_calibrated,
                     rec.cv,
                     rec.cv_calibrated,
-                    rec.signals.get("uncal_p"),
-                    rec.signals.get("uncal_maxsprt"),
-                    rec.signals.get("cal_p"),
-                    rec.signals.get("cal_maxsprt"),
+                    *(rec.signals.get(mode) for mode in ALL_MODES),
                 )
             )
     _write_rows(f, _RESULT_COLUMNS, rows)

@@ -233,7 +233,6 @@ def run_scenario(
     scenario: SimulationScenario,
     *,
     replicates: int = DESK_REPLICATES,
-    repeats: int | None = None,
 ) -> ErrorRateReport:
     """Simulate every repeat of a scenario and tabulate per-repeat error rates.
 
@@ -243,7 +242,6 @@ def run_scenario(
     each look (no leave-one-out), mirroring a prospective study that tracks
     a dedicated negative-control set. replicates is accepted and ignored.
     """
-    n_repeats = scenario.repeats if repeats is None else repeats
     schedule = scenario_schedule(scenario)
 
     specs: list[tuple[str, float, int]] = []
@@ -257,7 +255,7 @@ def run_scenario(
     positive_effects = sorted({rr for _, rr, _ in specs if rr > 1.0})
 
     report = ErrorRateReport(scenario=scenario.name)
-    for rep in range(n_repeats):
+    for rep in range(scenario.repeats):
         per_look: list[dict[str, CountData]] = [{} for _ in range(scenario.looks)]
         for outcome_id, rr, outcome_index in specs:
             data = generate_outcome_data(scenario, rr, outcome_index, rep)

@@ -261,6 +261,25 @@ class TestRun:
         assert main(["run", str(schedule), str(looks), str(ctrl), "--modes", "uncal_p"]) == 2
         assert "decreased" in capsys.readouterr().err
 
+    def test_exposed_above_total_names_outcome_and_look(self, tmp_path, capsys):
+        schedule = tmp_path / "sched.csv"
+        write_schedule_file(
+            schedule,
+            LookSchedule((10.0, 10.0), alpha=0.05, model="binomial", exposure_proportion=0.5),
+        )
+        looks = tmp_path / "looks.csv"
+        write_looks_file(
+            looks,
+            [
+                {"outcome_id": "a", "look": 1, "cumulative_observed": 5, "cumulative_total": 10},
+                {"outcome_id": "a", "look": 2, "cumulative_observed": 21, "cumulative_total": 20},
+            ],
+        )
+        ctrl = tmp_path / "controls.csv"
+        write_controls_file(ctrl, ["a"])
+        assert main(["run", str(schedule), str(looks), str(ctrl), "--modes", "uncal_p"]) == 2
+        assert "outcome a look 2" in capsys.readouterr().err
+
     def test_binomial_requires_totals(self, tmp_path):
         schedule = tmp_path / "sched.csv"
         write_schedule_file(
@@ -355,7 +374,7 @@ class TestSimulateWorkers:
         """Names of the scenarios run, each by a stub that returns one row."""
         names = []
 
-        def stub(scenario, repeats):
+        def stub(scenario):
             names.append(scenario.name)
             return ErrorRateReport(scenario.name, [ErrorRateRow(0, "uncal_p", 1.0, "type1", 0.0)])
 

@@ -472,6 +472,25 @@ class TestLeaveOneOut:
             assert model is not None
             assert model == fit_error_model(profiles[:i] + profiles[i + 1 :])
 
+    def test_each_model_is_one_call_of_fit_error_model(self, monkeypatch):
+        profiles = count_controls(5, 0.1, 0.2, seed=80, design="poisson")
+        fitted = []
+
+        def counting_fit(profiles):
+            fitted.append(len(profiles))
+            return fit_error_model(profiles)
+
+        monkeypatch.setattr(errormodel, "fit_error_model", counting_fit)
+        models = leave_one_out_models(profiles)
+        assert fitted == [4] * 5
+        assert all(m is not None for m in models)
+
+    def test_failed_fits_are_none(self):
+        unusable = GridProfile([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+        profiles = [NormalApprox(0.1, 0.2), NormalApprox(0.3, 0.1), unusable]
+        models = leave_one_out_models(profiles)
+        assert models == [None, None, fit_error_model(profiles[:2])]
+
     def test_requires_three_profiles(self):
         with pytest.raises(InsufficientControlsError):
             leave_one_out_models([NormalApprox(0.0, 0.1), NormalApprox(0.1, 0.1)])

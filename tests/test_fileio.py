@@ -78,6 +78,18 @@ class TestGridProfiles:
             fileio.read_grid_profiles(io.StringIO(text))
         assert str(err.value) == "line 3: grid values must be finite"
 
+    def test_outcome_reappearing_after_another_rejected(self):
+        text = (
+            "# seqcalib grid-profiles v1\n"
+            "outcome_id,log_rr_grid_point,log_likelihood\n"
+            "a,-1.0,-1.0\na,0.0,0.0\na,1.0,-1.0\n"
+            "b,-1.0,-1.0\nb,0.0,0.0\nb,1.0,-1.0\n"
+            "a,2.0,-4.0\n"
+        )
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_grid_profiles(io.StringIO(text))
+        assert str(err.value) == "line 9: rows of outcome a are not contiguous"
+
 
 class TestSchedule:
     def test_roundtrip_poisson(self):
