@@ -79,8 +79,8 @@ class _Prepared:
     """Usable profiles stacked into column arrays, one row per profile.
 
     Rows run normal approximations, file grids, Poisson counts, binomial counts;
-    `position` maps each row to its profile's input index. `mode` and `width`,
-    the MLE and SE of each non-normal row, place its quadrature nodes.
+    `position` maps each row to its profile's input index. Each non-normal row's
+    MLE (`mode`) and SE (its width, held squared and times sqrt(2)) place its nodes.
     """
 
     norm_beta: np.ndarray
@@ -88,10 +88,11 @@ class _Prepared:
     grid_x: tuple[np.ndarray, ...]
     grid_ll: tuple[np.ndarray, ...]  # less the grid's peak
     grid_slope: tuple[np.ndarray, ...]  # per segment, padded with the end continuations
-    poisson: np.ndarray  # observed counts
-    binomial: np.ndarray  # columns: exposed, total
+    poisson: np.ndarray  # observed counts, a column
+    binomial: tuple[np.ndarray, ...]  # columns: exposed, total, exposed / total, exposed - total
     mode: np.ndarray
-    width: np.ndarray
+    width2: np.ndarray
+    root2_width: np.ndarray
     position: np.ndarray
     n_excluded: int
 
@@ -120,6 +121,8 @@ def _prepare(profiles: Sequence[LikelihoodProfile]) -> _Prepared:
         else:
             binomial.append((index, mode, width, (pr.exposed, pr.total)))
     rows = grids + poisson + binomial
+    width = np.array([r[2] for r in rows])
+    exposed, total = np.array([r[3] for r in binomial], dtype=float).reshape(-1, 2).T[:, :, None]
     grid_ll = tuple(r[3].log_likelihoods - r[3].log_likelihoods.max() for r in grids)
     slopes = [np.diff(y) / np.diff(r[3].grid_points) for r, y in zip(grids, grid_ll)]
     return _Prepared(
@@ -128,10 +131,11 @@ def _prepare(profiles: Sequence[LikelihoodProfile]) -> _Prepared:
         tuple(r[3].grid_points for r in grids),
         grid_ll,
         tuple(np.concatenate(([max(sl[0], 0.0)], sl, [min(sl[-1], 0.0)])) for sl in slopes),
-        np.array([r[3] for r in poisson], dtype=float),
-        np.array([r[3] for r in binomial], dtype=float).reshape(-1, 2),
+        np.array([r[3] for r in poisson], dtype=float)[:, None],
+        (exposed, total, exposed / total, exposed - total),
         np.array([r[1] for r in rows]),
-        np.array([r[2] for r in rows]),
+        width * width,
+        math.sqrt(2.0) * width,
         np.array([r[0] for r in normal + rows], dtype=int),
         excluded,
     )
@@ -154,13 +158,15 @@ def _node_log_likelihoods(prep: _Prepared, delta: np.ndarray) -> tuple[np.ndarra
     g, p = len(prep.grid_x), len(prep.grid_x) + len(prep.poisson)
     # with t = e^delta - 1, Poisson o*(delta - t), score o - e*e^beta = -o*t; binomial
     # o*delta - n*log(1 + q*t) with MLE proportion q = o/n, score o - n*q_beta
-    observed, t = prep.poisson[:, None], np.expm1(delta[g:p])
-    ll[g:p] = observed * (delta[g:p] - t)
-    score[g:p] = -observed * t
-    exposed, total = prep.binomial.T[:, :, None]
-    qt = exposed / total * np.expm1(delta[p:])
-    ll[p:] = exposed * delta[p:] - total * np.log1p(qt)
-    score[p:] = (exposed - total) * qt / (1.0 + qt)
+    if g < p:
+        observed, t = prep.poisson, np.expm1(delta[g:p])
+        ll[g:p] = observed * (delta[g:p] - t)
+        score[g:p] = -observed * t
+    if p < len(delta):
+        exposed, total, proportion, deficit = prep.binomial
+        qt = proportion * np.expm1(delta[p:])
+        ll[p:] = exposed * delta[p:] - total * np.log1p(qt)
+        score[p:] = deficit * qt / (1.0 + qt)
     return ll, score
 
 
@@ -181,21 +187,22 @@ def _evaluate(mu: float, sd: float, prep: _Prepared) -> tuple[float, np.ndarray]
     # narrow likelihoods: with a = mode - mu and s = sd^2 + width^2, node k lies
     # a*r + step*x_k from mu (r = sd^2/s, step = sqrt(2)*width*sd/sqrt(s)); the
     # normal exponent is expanded, so nothing divides by sd and sd = 0 is exact.
-    w, a = prep.width, prep.mode - mu
-    s = v + w * w
-    r, u, k = v / s, w * w / s, math.sqrt(2.0) * w / np.sqrt(s)
+    a = prep.mode - mu
+    s = v + prep.width2
+    r, u, k = v / s, prep.width2 / s, prep.root2_width / np.sqrt(s)
     step = k * sd
-    ll, score = _node_log_likelihoods(prep, step[:, None] * _GH_X - (a * u)[:, None])
+    exponents, score = _node_log_likelihoods(prep, step[:, None] * _GH_X - (a * u)[:, None])
     # log(likelihood * normal density * node weight / Hermite kernel), less row constants
-    exponents = ll + _GH_LOGW
+    exponents += _GH_LOGW
     exponents += r[:, None] * _GH_X2 - (a * step / s)[:, None] * _GH_X
     peak = exponents.max(axis=1)
-    if not np.all(peak > -np.inf):
+    if not (peak > -np.inf).all():
         return -math.inf, grad  # some profile has zero mass under this (mu, sd)
-    weights = np.exp(exponents - peak[:, None])
+    exponents -= peak[:, None]
+    weights = np.exp(exponents, out=exponents)
     mass = weights.sum(axis=1)
-    constant = a * a * r / (2.0 * s) + 0.5 * (math.log(math.pi) + np.log1p(v / (w * w)))
-    value += float(np.sum(peak + np.log(mass) - constant))
+    constant = a * a * r / (2.0 * s) + 0.5 * (math.log(math.pi) + np.log1p(v / prep.width2))
+    value += float((peak + np.log(mass) - constant).sum())
     # each exponent's derivative, through its node (the score) and its terms,
     # averaged over the row's normalised weights by their moments in x
     m1, m2 = (weights @ _GH_X) / mass, (weights @ _GH_X2) / mass
@@ -205,7 +212,7 @@ def _evaluate(mu: float, sd: float, prep: _Prepared) -> tuple[float, np.ndarray]
     d_sd = u * (2.0 * a * sd * s0 / s + k * s1) + (
         2.0 * sd * u * m2 - sd - a * a * sd * (u - r) / s - a * k * (1.0 - 3.0 * r) * m1
     ) / s
-    grad += (np.sum(d_mu), np.sum(d_sd))
+    grad += (d_mu.sum(), d_sd.sum())
     return value, grad
 
 
@@ -213,8 +220,8 @@ def _evaluate_at_zero_sd(mu: float, prep: _Prepared) -> tuple[float, float]:
     """_evaluate's value and mu-derivative at sd = 0: each row's likelihood, taken once, at mu."""
     dev, var = prep.norm_beta - mu, prep.norm_var
     ll, score = _node_log_likelihoods(prep, (mu - prep.mode)[:, None])
-    value = np.sum(-0.5 * (_LOG_2PI + np.log(var)) - dev**2 / (2.0 * var)) + np.sum(ll)
-    return float(value), float(np.sum(dev / var) + np.sum(score))
+    value = (-0.5 * (_LOG_2PI + np.log(var)) - dev**2 / (2.0 * var)).sum() + ll.sum()
+    return float(value), float((dev / var).sum() + score.sum())
 
 
 def marginal_log_likelihood(mu: float, sd: float, profiles: Iterable[LikelihoodProfile]) -> float:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit, gammaln, xlog1py, xlogy
@@ -57,6 +58,8 @@ __all__ = [
 
 GH_POINTS = 32
 _GH_X, _GH_W = np.polynomial.hermite.hermgauss(GH_POINTS)
+_GH_LOGW = np.log(_GH_W)
+_GH_X2 = _GH_X**2
 # the recursion carries each count's mass under its base row, which is its
 # mass under the mixture divided by its weight; a row keeps probabilities
 # down to 1e-24 over its largest weight, exp(_LOG_DROP - log weight), which
@@ -65,6 +68,8 @@ _MAX_LOG_WEIGHT = 600.0
 # the weight tables span every count up to the largest that survives the
 # last look: a few hundred MB at this size
 _MAX_COUNTS = 1 << 20
+# counts per block of an LLR boundary table
+_BLOCK = 4096
 _LOG_DROP = math.log(1e-24)
 
 
@@ -117,6 +122,11 @@ class LookSchedule:
         """Per-look trial counts: expected increments rounded, floored at 1."""
         return np.maximum(1, np.rint(self.expected_increments)).astype(np.int64)
 
+    @cached_property
+    def _boundary(self) -> _Boundary:
+        """The LLR boundary of this schedule, shared by every cv computed on it."""
+        return _Boundary(self)
+
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
@@ -155,6 +165,63 @@ def _trim(first: int, values: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
     return first + int(kept[0]), values[kept[0] : kept[-1] + 1]
 
 
+class _Boundary:
+    """Per look, the LLR of each cumulative count from one whose LLR is 0 upward, in
+    blocks of _BLOCK counts: the LLRs of the blocks' first counts locate the block in
+    which the LLR, rising with the count, passes a given c, and a block is scored
+    once a limit or a candidate range reaches into it."""
+
+    def __init__(self, schedule: LookSchedule) -> None:
+        self.p = schedule.exposure_proportion
+        if self.p is None:
+            self.cumulative = schedule.cumulative_expected()
+            null_mean, self.stop = self.cumulative, [math.inf] * self.cumulative.size
+        else:  # stop: one past each look's largest count, its trial total
+            self.cumulative = np.cumsum(schedule.binomial_trials())
+            null_mean, self.stop = self.cumulative * self.p, (self.cumulative + 1).tolist()
+        # per look, a count whose LLR is 0, so that every cv keeps it
+        self.floor = np.maximum(np.floor(null_mean).astype(np.int64) - 1, 0)
+        self.firsts = [np.zeros(1)] * self.floor.size  # LLR of each block's first count
+        self.blocks: list[dict[int, np.ndarray]] = [{} for _ in self.stop]
+        self.memo: dict[float, np.ndarray] = {}  # limits by c
+
+    def llr(self, look: int, counts: np.ndarray) -> np.ndarray:
+        """LLR at a look of each cumulative count (at most the look's total, if binomial)."""
+        if self.p is None:
+            return poisson_llr(counts, self.cumulative[look])
+        return binomial_llr(counts, self.cumulative[look], self.p)
+
+    def _block(self, t: int, k: int) -> np.ndarray:
+        """LLR of the counts of block k at look t."""
+        if k not in self.blocks[t]:
+            first = int(self.floor[t]) + k * _BLOCK
+            self.blocks[t][k] = self.llr(t, np.arange(first, min(first + _BLOCK, self.stop[t])))
+        return self.blocks[t][k]
+
+    def _limit(self, t: int, c: float) -> int:
+        """Number of counts at look t whose LLR is at most c."""
+        firsts, floor = self.firsts[t], int(self.floor[t])
+        while floor + firsts.size * _BLOCK < self.stop[t] and firsts[-1] <= c:
+            more = floor + _BLOCK * np.arange(firsts.size, 2 * firsts.size + 8)
+            firsts = self.firsts[t] = np.append(firsts, self.llr(t, more[more < self.stop[t]]))
+        k = int(firsts.searchsorted(c, side="right")) - 1
+        return floor + k * _BLOCK + int(self._block(t, k).searchsorted(c, side="right"))
+
+    def limits(self, c: float) -> np.ndarray:
+        """Per look, the number of counts whose LLR is at most c."""
+        if c not in self.memo:
+            self.memo[c] = np.array([self._limit(t, c) for t in range(self.floor.size)])
+        return self.memo[c]
+
+    def candidates(self, lo: float, hi: float) -> np.ndarray:
+        """Attainable LLR values in (lo, hi], ascending."""
+        values = []
+        for t, (a, b) in enumerate(zip(self.limits(lo) - self.floor, self.limits(hi) - self.floor)):
+            for k in range(a // _BLOCK, -(-b // _BLOCK)):
+                values.append(self._block(t, k)[max(a - k * _BLOCK, 0) : b - k * _BLOCK])
+        return np.unique(np.concatenate(values))
+
+
 @dataclass(frozen=True)
 class CriticalValueResult:
     """Critical value plus the exact null probability of strictly exceeding it."""
@@ -187,22 +254,19 @@ class _NullRecursion:
         self.sd = model.sd
         self.mean = model.mean
         self.poisson = schedule.model == "poisson"
+        self.boundary = schedule._boundary
+        self.cumulative = self.boundary.cumulative
         if self.poisson:
             self.increments = np.asarray(schedule.expected_increments)
-            self.cumulative = schedule.cumulative_expected()
             self.rate = float((self.increments * np.exp(self.mean)).sum())
             self.cap = math.inf
             null_mean = self.cumulative
         else:
             p = self.p = schedule.exposure_proportion
             self.increments = schedule.binomial_trials()
-            self.cumulative = np.cumsum(self.increments)
             self.log_odds = math.log(p / (1.0 - p)) + self.mean
             self.cap = int(self.cumulative[-1]) + 1
             null_mean = self.cumulative * p
-        # per look, a count whose LLR is 0, so that every cv keeps it
-        self._floor = np.maximum(np.floor(null_mean).astype(np.int64) - 1, 0)
-        self._limits: dict[float, np.ndarray] = {}
         self._modes = self._log_weights = np.zeros(0)
         self._resize(min(2 * int(null_mean[-1]) + 16, self.cap, _MAX_COUNTS))
 
@@ -247,7 +311,7 @@ class _NullRecursion:
         scale = 1.0 / np.sqrt(1.0 - self._log_ratio_derivatives(x, mode)[1])
         z = mode + math.sqrt(2.0) * scale * _GH_X[:, None]  # nodes x counts
         terms = self._log_ratio(np.broadcast_to(x, z.shape).ravel(), z.ravel())
-        terms = terms.reshape(z.shape) + np.log(_GH_W)[:, None] + _GH_X[:, None] ** 2 - 0.5 * z**2
+        terms = terms.reshape(z.shape) + _GH_LOGW[:, None] + _GH_X2[:, None] - 0.5 * z**2
         peak = terms.max(axis=0)
         log_sum = np.log(np.exp(terms - peak).sum(axis=0)) + peak
         return mode, np.log(scale / math.sqrt(math.pi)) + log_sum
@@ -325,39 +389,6 @@ class _NullRecursion:
         self._spread = np.cumsum(np.vstack([start, variance]), axis=0)
         self._pmfs: dict[tuple, tuple[int, np.ndarray]] = {}
 
-    def _llr(self, looks: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """LLR at each given look of the cumulative count given with it."""
-        if self.poisson:
-            return np.asarray(poisson_llr(counts, self.cumulative[looks]))
-        totals = self.cumulative[looks]
-        llr = binomial_llr(np.minimum(counts, totals), totals, self.p)
-        return np.where(counts > totals, np.inf, llr)
-
-    def limits(self, c: float) -> np.ndarray:
-        """Per look, the number of counts whose LLR is at most c (LLR rises with the count)."""
-        if c not in self._limits:
-            looks = np.arange(self.cumulative.size)
-            lo = self._floor  # LLR <= c
-            if self.poisson:  # LLR(x) >= (x - e)^2 / 2x, so LLR > c above this
-                e = self.cumulative
-                hi = np.ceil(e + c + np.sqrt(c * c + 2.0 * c * e)).astype(np.int64) + 1
-                while np.any(stuck := self._llr(looks, hi) <= c):
-                    hi = np.where(stuck, 2 * hi, hi)
-            else:  # LLR(k) >= 2n (k/n - p)^2 (Pinsker), so LLR > c above this
-                n = self.cumulative
-                hi = np.minimum(np.ceil(n * self.p + np.sqrt(0.5 * c * n)).astype(np.int64), n) + 1
-            if (hi - lo).sum() <= 4096:  # few enough to score every count in between
-                counts = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
-                kept = self._llr(np.repeat(looks, hi - lo), counts) <= c
-                lo = lo + np.add.reduceat(kept, np.cumsum(hi - lo) - (hi - lo)) - 1
-                hi = lo + 1
-            while np.any(hi - lo > 1):
-                mid = (lo + hi) // 2
-                above = self._llr(looks, mid) > c
-                lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
-            self._limits[c] = hi
-        return self._limits[c]
-
     def _pmf(self, row: int, looks: range) -> tuple[int, np.ndarray]:
         """First count and probabilities of the count accrued over looks under a row.
 
@@ -395,7 +426,7 @@ class _NullRecursion:
 
     def exceedance(self, c: float) -> float:
         """Null probability that the LLR exceeds c at some look."""
-        limits = self.limits(c).tolist()
+        limits = self.boundary.limits(c).tolist()
         if self.size < limits[-1]:
             if limits[-1] > _MAX_COUNTS:
                 raise CriticalValueError(
@@ -444,15 +475,7 @@ class _NullRecursion:
         above = np.flatnonzero(1.0 - np.cumsum(mass) > alpha)  # P(final count > x) > alpha
         if above.size == 0:
             return 0.0
-        last = np.array([self.cumulative.size - 1])
-        return float(self._llr(last, np.array([above[-1]]))[0])
-
-    def candidates(self, lo: float, hi: float) -> np.ndarray:
-        """Attainable LLR values in (lo, hi], ascending."""
-        start, stop = self.limits(lo), self.limits(hi)
-        looks = np.repeat(np.arange(start.size), stop - start)
-        counts = np.concatenate([np.arange(a, b) for a, b in zip(start, stop)])
-        return np.unique(self._llr(looks, counts))
+        return float(self.boundary.llr(self.cumulative.size - 1, above[-1:])[0])
 
 
 def _exact_cv(schedule: LookSchedule, model: ErrorModel) -> CriticalValueResult:
@@ -490,7 +513,7 @@ def _exact_cv(schedule: LookSchedule, model: ErrorModel) -> CriticalValueResult:
     def excess(a: float) -> float:
         return math.log(a) - target if a > 0.0 else -math.inf
 
-    values = null.candidates(lo, hi)
+    values = null.boundary.candidates(lo, hi)
     f_lo, f_hi = excess(a_lo), excess(a_hi)
     kept = None
     while values.size > 1:

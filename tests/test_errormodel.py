@@ -413,6 +413,24 @@ class TestGradient:
             assert abs(d_mu - grad[0]) <= tolerance
 
 
+class TestNodeLogLikelihoods:
+    @pytest.mark.parametrize("nodes", [64, 1])
+    def test_each_kind_of_a_mixed_set_matches_its_own_rows(self, nodes):
+        # every kind fills its own slice of one node table in place
+        profiles = mixed_controls()
+        prep = errormodel._prepare(profiles)
+        rows = [profiles[i] for i in prep.position[prep.norm_beta.size :]]
+        delta = np.random.default_rng(7).normal(0.0, 0.5, (len(rows), nodes))
+        ll, score = errormodel._node_log_likelihoods(prep, delta)
+        for kind in (GridProfile, PoissonCounts, BinomialCounts):
+            mine = np.array([isinstance(r, kind) for r in rows])
+            assert 0 < mine.sum() < len(rows)
+            own = errormodel._prepare([r for r, m in zip(rows, mine) if m])
+            own_ll, own_score = errormodel._node_log_likelihoods(own, delta[mine])
+            assert ll[mine].tobytes() == own_ll.tobytes()
+            assert score[mine].tobytes() == own_score.tobytes()
+
+
 class TestLeaveOneOut:
     def test_identical_profiles_give_identical_models(self):
         profiles = [NormalApprox(0.1, 0.2) for _ in range(3)]

@@ -322,6 +322,8 @@ class TestComputeCalibratedCv:
         doubled_rule = np.polynomial.hermite.hermgauss(2 * maxsprt.GH_POINTS)
         monkeypatch.setattr(maxsprt, "_GH_X", doubled_rule[0])
         monkeypatch.setattr(maxsprt, "_GH_W", doubled_rule[1])
+        monkeypatch.setattr(maxsprt, "_GH_LOGW", np.log(doubled_rule[1]))
+        monkeypatch.setattr(maxsprt, "_GH_X2", doubled_rule[0] ** 2)
         doubled = [compute_calibrated_cv(s, m) for s in schedules for m in models]
         assert len(base) == 8
         for a, b in zip(base, doubled):
@@ -355,7 +357,7 @@ class TestComputeCalibratedCv:
         result = compute_calibrated_cv(schedule, model)
         reference = reference_alpha(schedule, model, result.cv)
         assert abs(result.attained_alpha - reference) <= 1e-11 * reference
-        below = maxsprt._NullRecursion(schedule, model).candidates(0.0, result.cv)[-2]
+        below = schedule._boundary.candidates(0.0, result.cv)[-2]
         assert reference_alpha(schedule, model, below) > schedule.alpha
         # a lower cap on the log weight forces more base rows
         chosen = maxsprt._NullRecursion(schedule, model).rows.size
@@ -436,6 +438,80 @@ class TestLargeDesigns:
         monkeypatch.setattr(maxsprt, "_MAX_LOG_WEIGHT", -1000.0)
         with pytest.raises(CriticalValueError, match="too wide"):
             compute_calibrated_cv(LookSchedule((20.0,) * 4, alpha=0.05), ErrorModel(0.0, 0.3))
+
+
+def llr_of_every_count(schedule, c_max):
+    """Per look, the LLR of every count from 0: up to one whose LLR exceeds c_max
+    (Poisson) or up to the trial total (binomial)."""
+    if schedule.model == "binomial":
+        totals = np.cumsum(schedule.binomial_trials())
+        return [binomial_llr(np.arange(n + 1), n, schedule.exposure_proportion) for n in totals]
+    llrs = []
+    for e in schedule.cumulative_expected():
+        counts = np.arange(2 * int(e) + 2)
+        while poisson_llr(counts[-1], e) <= c_max:
+            counts = np.arange(2 * counts.size)
+        llrs.append(poisson_llr(counts, e))
+    return llrs
+
+
+BOUNDARY_SCHEDULES = {
+    "desk-poisson": dict(expected_increments=(23.1,) * 10),
+    "run-loo-binomial": dict(
+        expected_increments=(392.7,) * 4, model="binomial", exposure_proportion=0.11522633744855967
+    ),
+    "unequal-binomial": dict(
+        expected_increments=(30.0, 55.0, 30.0, 120.0, 7.0), model="binomial", exposure_proportion=0.3
+    ),
+}
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("block", [16, maxsprt._BLOCK])
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_SCHEDULES))
+    def test_limits_and_candidates_match_every_count(self, monkeypatch, name, block):
+        monkeypatch.setattr(maxsprt, "_BLOCK", block)
+        schedule = LookSchedule(alpha=0.05, **BOUNDARY_SCHEDULES[name])
+        boundary = schedule._boundary
+        ties = np.unique(np.concatenate(llr_of_every_count(schedule, 8.0)))
+        ties = ties[ties <= 8.0]
+        values = [0.0, *ties, *(0.5 * (ties[1:] + ties[:-1]))]
+        for c in values:
+            boundary.limits(c)
+        located = [firsts.size for firsts in boundary.firsts]
+        scored = [*boundary.firsts, *(llr for blocks in boundary.blocks for llr in blocks.values())]
+        beyond = 2.0 * max(llr.max() for llr in scored)
+        values.append(beyond)  # past every count scored so far
+        llrs = llr_of_every_count(schedule, beyond)
+        boundary.memo.clear()  # look every value up again in the grown tables
+        for c in values:
+            assert boundary.limits(c).tolist() == [np.count_nonzero(llr <= c) for llr in llrs]
+        for before, firsts, llr, floor in zip(located, boundary.firsts, llrs, boundary.floor):
+            assert firsts.size > before or firsts.size == -(-(llr.size - floor) // block)
+        for lo, hi in [(0.0, ties[5]), (values[-2], ties[-1]), (ties[3], beyond), (0.0, beyond)]:
+            expected = np.unique(np.concatenate([llr[(llr > lo) & (llr <= hi)] for llr in llrs]))
+            assert boundary.candidates(lo, hi).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["desk-poisson", "run-loo-binomial"])
+    def test_cvs_do_not_depend_on_the_models_computed_before(self, name):
+        # sd 0, leave-one-out-like neighbours and one wide model share one boundary
+        models = [ErrorModel(0.2, 0.0), ErrorModel(0.2, 0.18), ErrorModel(0.21, 0.17),
+                  ErrorModel(0.19, 0.19), ErrorModel(0.2, 0.2), ErrorModel(0.0, 1.0)]
+
+        def schedule():
+            return LookSchedule(alpha=0.05, **BOUNDARY_SCHEDULES[name])
+
+        def cvs(order, shared=None):
+            """Each model's (cv, attained alpha), computed in the given order on one
+            shared schedule, or each on a fresh one."""
+            results = {m: compute_calibrated_cv(shared or schedule(), m) for m in order}
+            return [(results[m].cv, results[m].attained_alpha) for m in models]
+
+        one = schedule()
+        forward = cvs(models, one)
+        assert cvs(models[::-1], one) == forward
+        assert cvs(models[::-1], schedule()) == forward  # the wide model builds the tables
+        assert cvs(models) == forward
 
 
 class TestScheduleValidation:
