@@ -55,10 +55,12 @@ class FileFormatError(ValueError):
 def _format_value(value) -> str:
     if value is None:
         return ""
+    if hasattr(value, "item"):  # a numpy scalar: write the Python value it holds
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from seqcalib import errormodel, simharness
 from seqcalib.errormodel import (
@@ -121,7 +121,7 @@ PROFILE_SETS = {
     # derivative in sd vanishes there; the optimum is at sd = 0.034
     "normal-small-sd": lambda: synthetic_controls(20, 0.0, 0.05, seed=0)[2],
     # were nodes beyond a grid to score -inf, a line search stepping there would
-    # end with L-BFGS-B reporting success at its start point
+    # find no decrease and end the run at its start point
     "narrow-grids": lambda: [
         narrow_grid(m, s, 3 * s) for m, s in [(-0.3, 0.1), (0.2, 0.3), (0.25, 0.05), (0.8, 0.2)]
     ],
@@ -391,7 +391,7 @@ class TestGradient:
 
         h = 1e-6
         for mu, sd in [(0.0, 0.05), (0.2, 0.2), (-0.3, 0.5), (0.4, 1.0)]:
-            _, grad = errormodel._evaluate(mu, sd, prep)
+            _, grad, _ = errormodel._evaluate(mu, sd, prep)
             d_mu = (objective(mu + h, sd) - objective(mu - h, sd)) / (2 * h)
             d_sd = (objective(mu, sd + h) - objective(mu, sd - h)) / (2 * h)
             assert grad == pytest.approx([d_mu, d_sd], rel=1e-6)
@@ -406,11 +406,158 @@ class TestGradient:
     def test_one_point_sd_zero_objective_matches_the_quadrature(self, kind):
         prep = errormodel._prepare(PROFILE_SETS[kind]())
         for mu in (-0.2, 0.0, 0.3):
-            value, d_mu = errormodel._evaluate_at_zero_sd(mu, prep)
-            expected, grad = errormodel._evaluate(mu, 0.0, prep)
+            value, d_mu, curvature = errormodel._evaluate_at_zero_sd(mu, prep)
+            expected, grad, hess = errormodel._evaluate(mu, 0.0, prep)
             tolerance = 1e-12 * max(1.0, abs(expected))
             assert abs(value - expected) <= tolerance
             assert abs(d_mu - grad[0]) <= tolerance
+            assert curvature == pytest.approx(hess[0][0], rel=1e-9, abs=1e-9)
+
+
+def grid_segments(prep, mu, sd):
+    """The segment of each file grid that each node of its row lies in at (mu, sd)."""
+    s = sd * sd + prep.width2[: len(prep.grid_x)]
+    r = sd * sd / s
+    step = np.sqrt(2.0 * prep.width2[: len(prep.grid_x)] / s) * sd
+    segments = []
+    for i, x in enumerate(prep.grid_x):
+        mode = prep.mode[i]
+        nodes = mu + (mode - mu) * r[i] + step[i] * errormodel._GH_X
+        segments.append(np.searchsorted(x, nodes))
+    return segments
+
+
+def analyst_controls(seed):
+    """The analyst-cli benchmark's controls: 100 estimates, then 100 count grids."""
+    scenario = simharness.SimulationScenario(
+        name="analyst-controls", design="historical", sample_size=1_000_000,
+        effect_sizes=((1.0, 200),), error_mean=0.2, error_sd=0.2, repeats=1, base_seed=seed,
+    )
+    grids = [
+        profile_from_counts(simharness.generate_outcome_data(scenario, 1.0, i, 0)[-1])
+        for i in range(200)
+    ]
+    return [NormalApprox(*mle_and_se(p)) for p in grids[:100]] + grids[100:]
+
+
+class TestHessian:
+    @pytest.mark.parametrize("kind", ["normal", "poisson", "binomial", "mixed"])
+    @pytest.mark.parametrize("sd", [0.0, 0.05, 0.3])
+    def test_matches_central_differences_of_the_gradient(self, kind, sd):
+        prep = errormodel._prepare(PROFILE_SETS[kind]())
+        h = 1e-6
+        for mu in (-0.1, 0.15):
+            # the differences stay within one segment of every grid: no kink between them
+            here = grid_segments(prep, mu, sd)
+            for dm, ds in [(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)]:
+                there = grid_segments(prep, mu + dm, sd + ds)
+                assert all((a == b).all() for a, b in zip(here, there))
+            _, _, hess = errormodel._evaluate(mu, sd, prep)
+            columns = []
+            for dm, ds in [(h, 0.0), (0.0, h)]:
+                up = errormodel._evaluate(mu + dm, sd + ds, prep)[1]
+                down = errormodel._evaluate(mu - dm, sd - ds, prep)[1]
+                columns.append([(a - b) / (2 * h) for a, b in zip(up, down)])
+            numeric = np.array(columns).T
+            scale = np.abs(numeric).max()
+            assert np.array(hess) == pytest.approx(numeric, rel=1e-6, abs=1e-7 * scale)
+
+    @pytest.mark.parametrize("kind", sorted(PROFILE_SETS))
+    def test_symmetric_and_even_in_sd(self, kind):
+        prep = errormodel._prepare(PROFILE_SETS[kind]())
+        value, grad, hess = errormodel._evaluate(0.1, 0.2, prep)
+        mirrored = errormodel._evaluate(0.1, -0.2, prep)
+        assert hess[0][1] == hess[1][0]
+        assert mirrored[0] == pytest.approx(value, rel=1e-12)
+        assert mirrored[1] == pytest.approx((grad[0], -grad[1]), rel=1e-9)
+        assert mirrored[2][0][1] == pytest.approx(-hess[0][1], rel=1e-9)
+
+
+class TestMinimize:
+    @staticmethod
+    def counted(fun):
+        calls = []
+
+        def wrapper(x):
+            calls.append(x)
+            return fun(x)
+
+        return wrapper, calls
+
+    def test_counts_every_evaluation(self):
+        def bowl(x):
+            a, b = x[0] - 1.0, x[1] + 2.0
+            hess = ((12 * a * a + 2, 0.0), (0.0, 6.0))
+            return a**4 + a * a + 3 * b * b, (4 * a**3 + 2 * a, 6 * b), hess
+
+        fun, calls = self.counted(bowl)
+        res = errormodel.minimize(fun, (4.0, 3.0))
+        assert res.success and res.nfev == len(calls)
+        assert res.x == pytest.approx((1.0, -2.0), abs=1e-7)
+
+    def test_leaves_a_saddle_along_its_negative_curvature(self):
+        # x^2 - y^2 + y^4/2 has a saddle at the origin and minima at y = +-1
+        def saddle(x):
+            return (
+                x[0] ** 2 - x[1] ** 2 + 0.5 * x[1] ** 4,
+                (2 * x[0], -2 * x[1] + 2 * x[1] ** 3),
+                ((2.0, 0.0), (0.0, -2.0 + 6 * x[1] ** 2)),
+            )
+
+        fun, calls = self.counted(saddle)
+        res = errormodel.minimize(fun, (0.5, 0.1))
+        assert res.success and res.nfev == len(calls)
+        assert res.x == pytest.approx((0.0, 1.0), abs=1e-7)
+
+    def test_kinked_objective_converges_on_the_kink(self):
+        # |x - y| + (x + y - 1)^2 / 2: its Hessian misses the kink along x = y
+        def kinked(x):
+            d, m = x[0] - x[1], x[0] + x[1] - 1.0
+            sign = 1.0 if d > 0 else -1.0
+            return abs(d) + 0.5 * m * m, (sign + m, -sign + m), ((1.0, 1.0), (1.0, 1.0 + 1e-3))
+
+        res = errormodel.minimize(kinked, (0.9, -0.3))
+        assert res.success
+        assert res.x == pytest.approx((0.5, 0.5), abs=1e-6)
+
+
+class TestZeroSdMean:
+    @pytest.mark.parametrize(
+        "name,profiles,most",
+        [
+            ("file-grid", PROFILE_SETS["file-grid"], 45),
+            ("analyst-grids", lambda: analyst_controls(1)[100:], 45),
+            ("analyst-mix", lambda: analyst_controls(1), 10),
+            ("poisson", PROFILE_SETS["poisson"], 10),
+        ],
+    )
+    def test_agrees_with_brentq_within_a_stated_number_of_evaluations(
+        self, monkeypatch, name, profiles, most
+    ):
+        # grid scores are piecewise constant, so on grids alone the search bisects:
+        # 3 evaluations, then one per halving of the MLEs' range down to 2e-12
+        prep = errormodel._prepare(profiles())
+        mles = np.concatenate([prep.norm_beta, prep.mode])
+        lo, hi = float(mles.min()), float(mles.max())
+        one_point = errormodel._evaluate_at_zero_sd
+        expected = brentq(lambda m: one_point(m, prep)[1], lo, hi)
+        calls = []
+
+        def counted(mu, prep):
+            calls.append(mu)
+            return one_point(mu, prep)
+
+        monkeypatch.setattr(errormodel, "_evaluate_at_zero_sd", counted)
+        for start in (lo, float(mles.mean()), hi):
+            calls.clear()
+            mean, value = errormodel._zero_sd_mean(prep, lo, hi, start)
+            assert abs(mean - expected) <= 1e-10
+            assert value == one_point(mean, prep)[0]
+            assert len(calls) <= most
+
+    def test_none_without_a_sign_change(self):
+        prep = errormodel._prepare([NormalApprox(0.0, 0.1), NormalApprox(0.2, 0.1)])
+        assert errormodel._zero_sd_mean(prep, 0.3, 0.5, 0.4) is None
 
 
 class TestNodeLogLikelihoods:
@@ -421,14 +568,29 @@ class TestNodeLogLikelihoods:
         prep = errormodel._prepare(profiles)
         rows = [profiles[i] for i in prep.position[prep.norm_beta.size :]]
         delta = np.random.default_rng(7).normal(0.0, 0.5, (len(rows), nodes))
-        ll, score = errormodel._node_log_likelihoods(prep, delta)
+        table = errormodel._node_log_likelihoods(prep, delta)
         for kind in (GridProfile, PoissonCounts, BinomialCounts):
             mine = np.array([isinstance(r, kind) for r in rows])
             assert 0 < mine.sum() < len(rows)
             own = errormodel._prepare([r for r, m in zip(rows, mine) if m])
-            own_ll, own_score = errormodel._node_log_likelihoods(own, delta[mine])
-            assert ll[mine].tobytes() == own_ll.tobytes()
-            assert score[mine].tobytes() == own_score.tobytes()
+            own_table = errormodel._node_log_likelihoods(own, delta[mine])
+            for column, own_column in zip(table, own_table):
+                assert column[mine].tobytes() == own_column.tobytes()
+
+    @pytest.mark.parametrize("kind", ["poisson", "binomial"])
+    def test_curvature_is_the_derivative_of_the_score(self, kind):
+        prep = errormodel._prepare(PROFILE_SETS[kind]())
+        delta = np.random.default_rng(8).normal(0.0, 0.5, (prep.mode.size, 16))
+        h = 1e-6
+        _, _, curvature = errormodel._node_log_likelihoods(prep, delta)
+        up = errormodel._node_log_likelihoods(prep, delta + h)[1]
+        down = errormodel._node_log_likelihoods(prep, delta - h)[1]
+        assert curvature == pytest.approx((up - down) / (2 * h), rel=1e-6, abs=1e-6)
+
+    def test_grid_curvature_is_zero(self):
+        prep = errormodel._prepare(PROFILE_SETS["file-grid"]())
+        delta = np.random.default_rng(9).normal(0.0, 0.5, (prep.mode.size, 16))
+        assert not errormodel._node_log_likelihoods(prep, delta)[2].any()
 
 
 class TestLeaveOneOut:

@@ -153,6 +153,14 @@ class TestRecords:
         assert text.splitlines()[1] == "mean,sd,n_controls,converged,n_excluded"
         assert parsed == model
 
+    def test_error_model_of_numpy_scalars_roundtrip(self):
+        model = ErrorModel(np.float64(0.1), np.float64(0.2), np.int64(49), np.True_, np.int64(1))
+        text, parsed = roundtrip(fileio.write_error_model, fileio.read_error_model, model)
+        assert text.splitlines()[2] == "0.1,0.2,49,true,1"
+        assert parsed == ErrorModel(0.1, 0.2, n_controls=49, converged=True, n_excluded=1)
+        assert fileio._format_value(np.False_) == "false"
+        assert fileio._format_value(np.float32(0.5)) == "0.5"
+
     def test_error_model_without_excluded_column_reads_as_zero(self):
         text = "# seqcalib error-model v1\nmean,sd,n_controls,converged\n0.1,0.2,49,true\n"
         parsed = fileio.read_error_model(io.StringIO(text))
