@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "BinomialCounts",
@@ -199,11 +198,16 @@ def tilted_proportion(p: float, log_odds_shift):
         raise ValueError("p must lie in (0, 1)")
     logit_p = math.log(p / (1.0 - p))
     shift = np.asarray(log_odds_shift, dtype=float)
-    z = np.clip(logit_p + shift, -500.0, 500.0)
-    out = np.where(shift == 0.0, p, expit(z))
-    if np.isscalar(log_odds_shift) or shift.ndim == 0:
-        return float(out)
-    return out
+    if shift.ndim == 0:
+        if shift == 0.0:
+            return float(p)
+        return 1.0 / (1.0 + math.exp(-min(max(logit_p + float(shift), -500.0), 500.0)))
+    return np.where(shift == 0.0, p, _logistic(logit_p + shift))
+
+
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) elementwise, with z clipped to [-500, 500] so that exp cannot overflow."""
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
 def count_log_likelihood(beta, observed, null_value, offset, total=None):
@@ -222,8 +226,7 @@ def count_log_likelihood(beta, observed, null_value, offset, total=None):
     """
     if total is None:
         return observed * (offset + beta) - null_value * np.exp(beta)
-    z = np.clip(offset + beta, -500.0, 500.0)
-    q = np.where(beta == 0.0, null_value, expit(z))
+    q = np.where(beta == 0.0, null_value, _logistic(offset + beta))
     return observed * np.log(q) + (total - observed) * np.log1p(-q)
 
 

@@ -17,11 +17,13 @@ Each distribution is held as a band of counts: probabilities below 1e-24
 (less where the calibrated weights below are large) are dropped from its
 ends (each far below the rounding error of alpha), so the work per look
 grows with the spread of the counts, not with their size. Pmfs are evaluated
-through log-gamma, whose rounding grows with its arguments: it limits alpha's
-accuracy to about 1e-13 at a thousand Poisson counts and 1e-10 at a hundred
-thousand. A binomial pmf's error follows its trial total n through
-gammaln(n + 1), not its counts: at 1,572 trials, with counts near 200, the
-pmf sums to 1 - 2e-12. Counts are supported up to _MAX_COUNTS.
+in logs from log-factorials, math.lgamma(k + 1), kept in a table that grows
+on demand up to _MAX_COUNTS. The rounding of the log terms grows with their
+size: against exact pmfs (a 40-digit decimal recurrence) the largest
+relative error over the counts kept is 1.1e-13, 1.5e-12 and 1.8e-11 at
+Poisson means of 20, 600 and 5,000. A binomial pmf's error follows its
+trial total n through log n!, not its counts: 3.7e-13, 4.6e-12 and 1.7e-11
+at 393, 1,572 and 6,000 trials. Counts are supported up to _MAX_COUNTS.
 
 The calibrated variant shifts the null of every look by one systematic
 error b = mean + sd * z, where the standard-normal innovation z is shared by
@@ -42,10 +44,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit, gammaln, xlog1py, xlogy
 
 from .errormodel import ErrorModel
-from .likelihood import binomial_llr, poisson_llr, tilted_proportion
+from .likelihood import _logistic, binomial_llr, poisson_llr, tilted_proportion
 
 __all__ = [
     "CriticalValueError",
@@ -71,6 +72,8 @@ _MAX_COUNTS = 1 << 20
 # counts per block of an LLR boundary table
 _BLOCK = 4096
 _LOG_DROP = math.log(1e-24)
+# log k! of the counts k below its size, grown by _log_factorial as cvs need it
+_log_factorials = np.zeros(0)
 
 
 class CriticalValueError(RuntimeError):
@@ -155,6 +158,41 @@ def _support(mean: float, variance: float, log_tol: float) -> tuple[int, int]:
     """
     d = math.sqrt(-2.0 * log_tol * variance) - log_tol
     return max(0, math.floor(mean - d)), math.ceil(mean + d)
+
+
+def _log_factorial(k: np.ndarray) -> np.ndarray:
+    """log k! of each count in k, as math.lgamma(k + 1).
+
+    Counts below _MAX_COUNTS are read from a table that starts empty and at
+    least doubles whenever a count lies beyond it; larger counts are
+    computed one by one. Every value is math.lgamma(k + 1) however the table
+    grew, so a pmf does not depend on what the process computed before it.
+    """
+    global _log_factorials
+    table = _log_factorials
+    end = int(k.max(initial=-1)) + 1
+    if table.size < end <= _MAX_COUNTS:
+        size = min(max(end, 2 * table.size), _MAX_COUNTS)
+        more = np.fromiter(map(math.lgamma, range(table.size + 1, size + 1)), float, size - table.size)
+        table = _log_factorials = np.concatenate([table, more])
+    if end <= table.size:
+        return table[k]
+    return np.fromiter(map(math.lgamma, (k + 1).tolist()), float, k.size)
+
+
+def _poisson_log_pmf(k: np.ndarray, rate: float) -> np.ndarray:
+    """Log Poisson pmf at a rate of each count in k."""
+    return k * math.log(rate) - rate - _log_factorial(k)
+
+
+def _binomial_log_pmf(k: np.ndarray, n: int, q: float) -> np.ndarray:
+    """Log binomial pmf of n trials at proportion q of each count in k (0 <= k <= n)."""
+    if q == 1.0:  # a tilt so large that the proportion rounds to 1
+        return np.where(k == n, 0.0, -math.inf)
+    return (
+        math.lgamma(n + 1) - _log_factorial(k) - _log_factorial(n - k)
+        + k * math.log(q) + (n - k) * math.log1p(-q)
+    )
 
 
 def _trim(first: int, values: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
@@ -285,7 +323,7 @@ class _NullRecursion:
         if self.poisson:
             rate = self.rate * np.exp(s * z)
             return s * (x - rate), -s * s * rate
-        q = expit(self.log_odds + s * z)
+        q = _logistic(self.log_odds + s * z)
         exposed = self.cumulative[-1] * q
         return s * (x - exposed), -s * s * (exposed * (1.0 - q))
 
@@ -408,17 +446,12 @@ class _NullRecursion:
         if self.poisson:
             rate = float((increments * np.exp(shift)).sum())
             first, last = _support(rate, rate, log_tol)
-            k = np.arange(first, last + 1)
-            log_pmf = xlogy(k, rate) - rate - gammaln(k + 1)
+            log_pmf = _poisson_log_pmf(np.arange(first, last + 1), rate)
         else:
             q = tilted_proportion(self.p, shift)
             n = int(increments.sum())
             first, last = _support(n * q, n * q * (1.0 - q), log_tol)
-            k = np.arange(first, min(last, n) + 1)
-            log_pmf = (
-                gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-                + xlogy(k, q) + xlog1py(n - k, -q)
-            )
+            log_pmf = _binomial_log_pmf(np.arange(first, min(last, n) + 1), n, q)
         first, pmf = _trim(first, np.exp(log_pmf), math.exp(log_tol))
         if pmf.size <= 4096:
             self._pmfs[key] = first, pmf

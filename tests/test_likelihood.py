@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from seqcalib.likelihood import (
     BinomialCounts,
@@ -133,6 +133,17 @@ class TestTiltedProportion:
     def test_extreme_shift_saturates(self):
         assert 0.0 <= tilted_proportion(0.5, -1000.0) < 1e-10
         assert 1.0 - 1e-10 < tilted_proportion(0.5, 1000.0) <= 1.0
+
+    def test_matches_scipy_expit(self):
+        # scalars take libm's exp, as scipy does; arrays numpy's, whose last bits may differ
+        rng = np.random.default_rng(11)
+        p = rng.uniform(0.001, 0.999, 20_000).tolist()
+        shifts = rng.normal(0.0, 3.0, 20_000)
+        expected = special.expit([math.log(a / (1.0 - a)) + b for a, b in zip(p, shifts.tolist())])
+        scalars = np.array([tilted_proportion(a, b) for a, b in zip(p, shifts.tolist())])
+        assert np.all(np.abs(scalars - expected) <= np.spacing(expected))
+        expected = special.expit(math.log(0.3 / 0.7) + shifts)
+        assert np.all(np.abs(tilted_proportion(0.3, shifts) - expected) <= 2 * np.spacing(expected))
 
 
 class TestProfileFromCounts:

@@ -1,10 +1,10 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import gammaln, xlog1py, xlogy
 
 from seqcalib import maxsprt
 from seqcalib.errormodel import ErrorModel
@@ -107,8 +107,10 @@ def reference_alpha(schedule, model, c, nodes=200):
     without base rows or mixture weights.
 
     At each Gauss-Legendre node z the absorbing recursion runs under the
-    null tilted by mean + sd * z on log-gamma pmfs, with every count below
-    each look's limit kept, and its surviving mass is integrated over z.
+    null tilted by mean + sd * z on production's pmfs, with every count
+    below each look's limit kept, and its surviving mass is integrated over
+    z. It checks the rows and mixture weights, not the pmfs, which
+    TestPmfs compares with exact ones.
     The nodes span the range of z outside of which, by the tails of the
     cumulative count, no path reaches a limit or every path passes the last
     one, each but for a probability below 1e-20.
@@ -145,11 +147,10 @@ def reference_alpha(schedule, model, c, nodes=200):
         f = np.ones(1)
         for n, limit in zip(increments, limits):
             if poisson:
-                k, rate = np.arange(limit), n * math.exp(bias)
-                log_pmf = xlogy(k, rate) - rate - gammaln(k + 1)
+                log_pmf = maxsprt._poisson_log_pmf(np.arange(limit), n * math.exp(bias))
             else:
                 k, q = np.arange(min(limit, n + 1)), tilted_proportion(p, bias)
-                log_pmf = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) + xlogy(k, q) + xlog1py(n - k, -q)
+                log_pmf = maxsprt._binomial_log_pmf(k, int(n), q)
             f = np.convolve(f, np.exp(log_pmf))[:limit]
         return float(f.sum())
 
@@ -162,6 +163,108 @@ def reference_alpha(schedule, model, c, nodes=200):
     z = lo + (hi - lo) * (x + 1.0) / 2.0
     inside = (hi - lo) / 2.0 * sum(wi * survived(zi) * stats.norm.pdf(zi) for wi, zi in zip(w, z))
     return 1.0 - stats.norm.cdf(lo) - inside
+
+
+def exact_poisson_pmf(rate, last):
+    """Poisson pmf of the counts 0..last at a rate, by a 40-digit decimal recurrence."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        r = Decimal(rate)
+        values = [(-r).exp()]
+        for k in range(1, last + 1):
+            values.append(values[-1] * r / k)
+        return np.array([float(v) for v in values])
+
+
+def exact_binomial_pmf(n, q, last):
+    """Binomial pmf of the counts 0..last of n trials at proportion q, by a 40-digit
+    decimal recurrence."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        q = Decimal(q)
+        odds = q / (1 - q)
+        values = [(1 - q) ** n]
+        for k in range(1, last + 1):
+            values.append(values[-1] * (n - k + 1) / k * odds)
+        return np.array([float(v) for v in values])
+
+
+def fresh_log_factorials(monkeypatch):
+    monkeypatch.setattr(maxsprt, "_log_factorials", np.zeros(0))
+
+
+class TestPmfs:
+    """The recursion's pmfs against exact ones, over every count it computes:
+    those within the Bernstein bounds at probability 1e-24."""
+
+    @pytest.mark.parametrize("rate, bound", [(20.0, 1.4e-13), (600.0, 3e-12), (5000.0, 3.6e-11)])
+    def test_poisson_matches_exact(self, rate, bound):
+        first, last = maxsprt._support(rate, rate, maxsprt._LOG_DROP)
+        pmf = np.exp(maxsprt._poisson_log_pmf(np.arange(first, last + 1), rate))
+        exact = exact_poisson_pmf(rate, last)[first:]
+        assert np.max(np.abs(pmf / exact - 1.0)) <= bound
+
+    @pytest.mark.parametrize(
+        "n, q, bound", [(393, 0.115, 7.4e-13), (1572, 0.14, 9.2e-12), (6000, 0.3, 3.4e-11)]
+    )
+    def test_binomial_matches_exact(self, n, q, bound):
+        first, last = maxsprt._support(n * q, n * q * (1.0 - q), maxsprt._LOG_DROP)
+        last = min(last, n)
+        pmf = np.exp(maxsprt._binomial_log_pmf(np.arange(first, last + 1), n, q))
+        exact = exact_binomial_pmf(n, q, last)[first:]
+        assert np.max(np.abs(pmf / exact - 1.0)) <= bound
+
+    @pytest.mark.parametrize("n, q", [(1, 0.3), (60, 0.3), (200, 0.9)])
+    def test_no_and_every_trial_exposed(self, n, q):
+        ends = np.array([0, n])
+        pmf = np.exp(maxsprt._binomial_log_pmf(ends, n, q))
+        assert pmf == pytest.approx(exact_binomial_pmf(n, q, n)[ends], rel=1e-13)
+
+    def test_no_poisson_events(self):
+        pmf = np.exp(maxsprt._poisson_log_pmf(np.zeros(1, dtype=np.int64), 3.7))
+        assert pmf[0] == pytest.approx(math.exp(-3.7), rel=1e-15)
+
+    def test_proportion_rounded_to_one_puts_every_count_on_the_trials(self):
+        q = tilted_proportion(0.5, 40.0)
+        assert q == 1.0
+        pmf = np.exp(maxsprt._binomial_log_pmf(np.arange(11), 10, q))
+        assert pmf.tolist() == [0.0] * 10 + [1.0]
+        # every path exposes every trial, so it ends on the largest LLR
+        schedule = LookSchedule((10.0, 10.0), alpha=0.05, model="binomial", exposure_proportion=0.5)
+        result = compute_calibrated_cv(schedule, ErrorModel(40.0, 0.0))
+        assert result.cv == binomial_llr(20, 20, 0.5)
+        assert result.attained_alpha == 0.0
+
+    def test_log_factorials_do_not_depend_on_how_the_table_grew(self, monkeypatch):
+        k = np.arange(5000)
+        fresh_log_factorials(monkeypatch)
+        at_once = maxsprt._log_factorial(k)
+        fresh_log_factorials(monkeypatch)
+        for end in (1, 2, 3, 10, 700, 701, 5000):
+            in_steps = maxsprt._log_factorial(k[:end])
+        assert in_steps.tobytes() == at_once.tobytes()
+        assert at_once.tolist() == [math.lgamma(v + 1) for v in range(5000)]
+
+    def test_cvs_do_not_depend_on_what_was_computed_first(self, monkeypatch):
+        def cvs():
+            poisson = LookSchedule((23.1,) * 10, alpha=0.05)
+            binomial = LookSchedule((393.0,) * 4, alpha=0.05, model="binomial", exposure_proportion=0.115)
+            return [compute_cv(poisson), compute_calibrated_cv(binomial, ErrorModel(0.24, 0.17))]
+
+        fresh_log_factorials(monkeypatch)
+        first = cvs()
+        fresh_log_factorials(monkeypatch)
+        compute_cv(LookSchedule((600.0,) * 20, alpha=0.05))
+        assert cvs() == first
+
+    def test_counts_beyond_the_table_are_computed_one_by_one(self, monkeypatch):
+        fresh_log_factorials(monkeypatch)
+        monkeypatch.setattr(maxsprt, "_MAX_COUNTS", 100)
+        k = np.array([5, 99, 150])
+        assert maxsprt._log_factorial(k).tolist() == [math.lgamma(v + 1) for v in k.tolist()]
+        assert maxsprt._log_factorials.size == 0
+        assert maxsprt._log_factorial(k[:2]).tolist() == [math.lgamma(6), math.lgamma(100)]
+        assert maxsprt._log_factorials.size == 100
 
 
 class TestComputeCv:
