@@ -7,11 +7,11 @@ so that the probability of any exceedance under the null is at most alpha.
 The exceedance probability alpha(c) of a candidate critical value c is
 computed exactly by a group-sequential recursion over the cumulative count:
 its distribution is carried from look to look by convolving it with that
-look's increment pmf, and every count whose LLR at that look exceeds c is
-absorbed (zeroed). alpha(c) is one minus the mass that survives the last
-look. alpha(c) only changes at attainable LLR values, and the critical value
-is the smallest attainable value whose exceedance probability is at most
-alpha (Kulldorff et al. 2011, Sequential Analysis 30:58-78).
+look's increment pmf, and every count at or above that look's count limit is
+absorbed. In the LLR rule a look's limit is the number of counts whose LLR
+is at most c. alpha(c), one minus the mass surviving the last look, changes
+only at attainable LLR values; the critical value is the smallest one with
+alpha(c) <= alpha (Kulldorff et al. 2011, Sequential Analysis 30:58-78).
 
 Each distribution is held as a band of counts: probabilities below 1e-24
 (less where the calibrated weights below are large) are dropped from its
@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -283,7 +284,7 @@ class _NullRecursion:
 
     Each row's count distribution is held as a band of counts, trimmed at
     both ends to probabilities of at least 1e-24 over the row's largest
-    weight. Looks at which no count of a row can reach the boundary are not
+    weight. Looks at which no count of a row can reach its limit are not
     convolved one by one: their increments are pooled and convolved once,
     at the next look the pooled distribution can cross.
     """
@@ -457,9 +458,8 @@ class _NullRecursion:
             self._pmfs[key] = first, pmf
         return first, pmf
 
-    def exceedance(self, c: float) -> float:
-        """Null probability that the LLR exceeds c at some look."""
-        limits = self.boundary.limits(c).tolist()
+    def _survivors(self, limits: list) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """Per used row: the band of final counts below every look's limit, their mass and weights."""
         if self.size < limits[-1]:
             if limits[-1] > _MAX_COUNTS:
                 raise CriticalValueError(
@@ -468,7 +468,6 @@ class _NullRecursion:
                 )
             self._resize(min(max(2 * self.size, limits[-1]), self.cap, _MAX_COUNTS))
         last = len(limits) - 1
-        survived = 0.0
         for row in self.used.tolist():
             log_tol = self.log_tol[row]
             tol = math.exp(log_tol)
@@ -488,9 +487,18 @@ class _NullRecursion:
                 if f.size == 0:
                     break
             band = slice(first, first + f.size)
-            weight = np.where(self.row_of_count[band] == row, self.weight[band], 0.0)
+            yield band, f, np.where(self.row_of_count[band] == row, self.weight[band], 0.0)
+
+    def crossing(self, limits: list) -> float:
+        """Null probability that the cumulative count reaches its look's limit at some look."""
+        survived = 0.0
+        for _, f, weight in self._survivors(limits):
             survived += float(f @ weight)
         return max(0.0, 1.0 - survived)
+
+    def exceedance(self, c: float) -> float:
+        """Null probability that the LLR exceeds c at some look."""
+        return self.crossing(self.boundary.limits(c).tolist())
 
     def final_look_floor(self, alpha: float) -> float:
         """An LLR value c with alpha(c) > alpha by the final look alone, or 0.
@@ -500,11 +508,8 @@ class _NullRecursion:
         above alpha lies below the cv.
         """
         mass = np.zeros(self.size)
-        for row in self.used.tolist():
-            first, f = self._pmf(row, range(self.cumulative.size))  # no absorption
-            band = slice(first, min(first + f.size, self.size))
-            weight = np.where(self.row_of_count[band] == row, self.weight[band], 0.0)
-            mass[band] += f[: weight.size] * weight
+        for band, f, w in self._survivors([math.inf] * (self.cumulative.size - 1) + [self.size]):
+            mass[band] += f * w
         above = np.flatnonzero(1.0 - np.cumsum(mass) > alpha)  # P(final count > x) > alpha
         if above.size == 0:
             return 0.0

@@ -211,7 +211,7 @@ def generate_outcome_data(
         true_rate = null_total * effect_size * math.exp(tau)
         increments = rng.poisson(true_rate / n_looks, size=n_looks)
         observed = np.cumsum(increments)
-        expected = null_total * (np.arange(1, n_looks + 1) / n_looks)
+        expected = np.cumsum(np.full(n_looks, null_total / n_looks))  # the cv's, bit for bit
         return [
             PoissonCounts(int(observed[t]), float(expected[t])) for t in range(n_looks)
         ]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from decimal import Decimal, localcontext
@@ -58,19 +59,19 @@ def sample_llr_max(schedule, replicates, seed, model=None):
     return llr.max(axis=1)
 
 
-def enumerated_cv(schedule, max_increment, model=None):
-    """cv and attained alpha by summing the probability of every count path.
+@functools.cache
+def path_probabilities(schedule, max_increment, model=None):
+    """Cumulative counts and probability of every count path.
 
     Increments run to max_increment at every look (the tail beyond it must
     be negligible). With a model the path probabilities are integrated over
-    the shared bias innovation by adaptive quadrature.
+    the shared bias innovation by adaptive quadrature, once per schedule,
+    bound and model in a test run; callers must not modify the arrays.
     """
     n_looks = schedule.n_looks
     paths = np.array(list(itertools.product(range(max_increment + 1), repeat=n_looks)))
-    cumulative = np.cumsum(paths, axis=1)
     if schedule.model == "poisson":
         increments = np.asarray(schedule.expected_increments)
-        path_max = poisson_llr(cumulative, schedule.cumulative_expected()).max(axis=1)
 
         def path_probability(bias):
             return stats.poisson.pmf(paths, increments * np.exp(bias)).prod(axis=1)
@@ -78,9 +79,7 @@ def enumerated_cv(schedule, max_increment, model=None):
     else:
         trials = schedule.binomial_trials()
         p = schedule.exposure_proportion
-        possible = np.all(paths <= trials, axis=1)
-        paths, cumulative = paths[possible], cumulative[possible]
-        path_max = binomial_llr(cumulative, np.cumsum(trials), p).max(axis=1)
+        paths = paths[np.all(paths <= trials, axis=1)]
 
         def path_probability(bias):
             return stats.binom.pmf(paths, trials, tilted_proportion(p, bias)).prod(axis=1)
@@ -96,6 +95,17 @@ def enumerated_cv(schedule, max_increment, model=None):
             epsrel=1e-13,
             norm="max",
         )
+    return np.cumsum(paths, axis=1), probability
+
+
+def enumerated_cv(schedule, max_increment, model=None):
+    """cv and attained alpha by summing the probability of every count path."""
+    cumulative, probability = path_probabilities(schedule, max_increment, model)
+    if schedule.model == "poisson":
+        path_max = poisson_llr(cumulative, schedule.cumulative_expected()).max(axis=1)
+    else:
+        totals = np.cumsum(schedule.binomial_trials())
+        path_max = binomial_llr(cumulative, totals, schedule.exposure_proportion).max(axis=1)
     values = np.unique(np.append(path_max, 0.0))
     alphas = np.array([probability[path_max > v].sum() for v in values])
     i = int(np.argmax(alphas <= schedule.alpha))
@@ -345,6 +355,20 @@ class TestComputeCv:
         assert abs(result.attained_alpha - oracle_alpha) <= 1e-12
 
 
+# two small calibrated schedules whose count paths can be enumerated
+SMALL_CALIBRATED = pytest.mark.parametrize(
+    "schedule, max_increment, model",
+    [
+        (LookSchedule((2.0, 2.0, 2.0), alpha=0.05), 30, ErrorModel(0.2, 0.3)),
+        (
+            LookSchedule((6.0,) * 3, alpha=0.05, model="binomial", exposure_proportion=0.3),
+            6,
+            ErrorModel(0.2, 0.4),
+        ),
+    ],
+)
+
+
 class TestComputeCalibratedCv:
     def test_null_model_reproduces_uncalibrated_exactly(self):
         for kwargs in (
@@ -382,22 +406,21 @@ class TestComputeCalibratedCv:
         schedule = LookSchedule((4.0, 4.0), alpha=1.0)
         assert compute_calibrated_cv(schedule, ErrorModel(0.2, 0.3)).cv == 0.0
 
-    @pytest.mark.parametrize(
-        "schedule, max_increment, model",
-        [
-            (LookSchedule((2.0, 2.0, 2.0), alpha=0.05), 30, ErrorModel(0.2, 0.3)),
-            (
-                LookSchedule((6.0,) * 3, alpha=0.05, model="binomial", exposure_proportion=0.3),
-                6,
-                ErrorModel(0.2, 0.4),
-            ),
-        ],
-    )
+    @SMALL_CALIBRATED
     def test_matches_integrated_path_enumeration(self, schedule, max_increment, model):
         oracle_cv, oracle_alpha = enumerated_cv(schedule, max_increment, model)
         result = compute_calibrated_cv(schedule, model)
         assert result.cv == oracle_cv
         assert abs(result.attained_alpha - oracle_alpha) <= 1e-10
+
+    @SMALL_CALIBRATED
+    def test_crossing_per_look_limits_matches_path_enumeration(self, schedule, max_increment, model):
+        cumulative, probability = path_probabilities(schedule, max_increment, model)
+        null = maxsprt._NullRecursion(schedule, model)
+        # rising, falling, absorbing everything at a look, none before the last, past the table
+        for limits in ([3, 6, 8], [9, 7, 5], [5, 0, 9], [math.inf, math.inf, 6], [4, 12, 60]):
+            reached = probability[(cumulative >= np.array(limits)).any(axis=1)].sum()
+            assert abs(null.crossing(limits) - reached) <= 1e-10, limits
 
     @pytest.mark.parametrize(
         "schedule",

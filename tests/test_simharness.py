@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from seqcalib.likelihood import BinomialCounts, PoissonCounts
+from seqcalib import maxsprt
+from seqcalib.calibration import uncalibrated_p
+from seqcalib.errormodel import ErrorModel
+from seqcalib.likelihood import BinomialCounts, PoissonCounts, mle_and_se, poisson_llr
+from seqcalib.maxsprt import compute_cv
 from seqcalib.simharness import (
     SCCS_NULL_EXPOSURE_PROPORTION,
     SimulationScenario,
@@ -131,6 +135,71 @@ class TestGenerateOutcomeData:
         a = generate_outcome_data(s, 1.5, 7, 2)
         b = generate_outcome_data(s, 1.5, 7, 2)
         assert a == b
+
+    def test_expected_counts_are_the_schedules(self):
+        # a cv is computed for the schedule's design, so the LLR it is compared with must be too
+        for s in paper_scenarios(repeats=1):
+            if s.design == "historical":
+                expected = [d.expected for d in generate_outcome_data(s, 1.0, 0, 0)]
+                assert expected == scenario_schedule(s).cumulative_expected().tolist()
+
+
+def uncal_p_limits(schedule):
+    """Per look, the smallest count on which uncal_p signals, by production's estimate and p-value.
+
+    The rule signals on every larger count too, checked up to 500, beyond any
+    count a historical-small outcome reaches with a probability that matters.
+    """
+    def signals(o, expected):
+        return o > 0 and uncalibrated_p(*mle_and_se(PoissonCounts(o, expected))) < schedule.alpha
+
+    limits = []
+    for expected in schedule.cumulative_expected():
+        limit = next(o for o in range(500) if signals(o, expected))
+        assert all(signals(o, expected) for o in range(limit, 500))
+        limits.append(limit)
+    return limits
+
+
+class TestExactUncalibratedTypeOne:
+    """A historical control's counts, given its bias tau ~ N(mu, sigma), follow the
+    tilted null of _NullRecursion(schedule, ErrorModel(mu, sigma)) exactly, so the
+    type 1 error of each uncalibrated mode is exact: uncal_maxsprt absorbs at the
+    cv's LLR limits, uncal_p at the smallest count it signals on per look."""
+
+    @pytest.mark.parametrize(
+        "mu, sigma, exact_maxsprt, exact_p",
+        [(0.0, 0.0, 0.04941, 0.18752), (0.0, 0.2, 0.11225, 0.25366), (0.2, 0.2, 0.30049, 0.48899)],
+    )
+    def test_matches_the_harness(self, mu, sigma, exact_maxsprt, exact_p):
+        scenario = SimulationScenario(
+            "historical-small", "historical", 100_000, error_mean=mu, error_sd=sigma,
+            repeats=1, base_seed=271828,
+        )
+        schedule = scenario_schedule(scenario)
+        cv = compute_cv(schedule)
+        limits = uncal_p_limits(schedule)
+        assert limits[:3] == [5, 9, 12]
+        null = maxsprt._NullRecursion(schedule, ErrorModel(mu, sigma))
+        exact = {"uncal_maxsprt": null.exceedance(cv.cv), "uncal_p": null.crossing(limits)}
+        if (mu, sigma) == (0.0, 0.0):
+            assert exact["uncal_maxsprt"] == cv.attained_alpha
+        assert exact["uncal_maxsprt"] == pytest.approx(exact_maxsprt, abs=5e-6)
+        assert exact["uncal_p"] == pytest.approx(exact_p, abs=5e-6)
+
+        # the signal rules of run_surveillance, on the harness's own draws
+        n = 20_000
+        signaled = {"uncal_maxsprt": 0, "uncal_p": 0}
+        for index in range(n):
+            data = generate_outcome_data(scenario, 1.0, index, 0)
+            llr = poisson_llr(np.array([d.observed for d in data]), np.array([d.expected for d in data]))
+            signaled["uncal_maxsprt"] += bool(llr.max() > cv.cv)
+            signaled["uncal_p"] += any(
+                d.observed > 0 and uncalibrated_p(*mle_and_se(d)) < schedule.alpha for d in data
+            )
+        for mode, value in exact.items():
+            se = math.sqrt(value * (1.0 - value) / n)
+            assert abs(signaled[mode] / n - value) <= 4.0 * se, mode
 
 
 class TestRunScenario:
