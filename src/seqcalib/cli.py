@@ -40,12 +40,15 @@ def _open_out(stack: ExitStack, path: str):
 
 
 def cmd_fit_null(args: argparse.Namespace) -> int:
-    profiles: list = []
     with open(args.estimates, encoding="utf-8") as f:
-        profiles.extend(fileio.read_estimates(f))
+        profiles: list = fileio.read_estimates(f)
     if args.grid_file:
         with open(args.grid_file, encoding="utf-8") as f:
-            profiles.extend(fileio.read_grid_profiles(f))
+            grids = fileio.read_grid_profiles(f)
+        both = sorted({p.outcome_id for p in profiles} & {g.outcome_id for g in grids})
+        if both:
+            raise fileio.FileFormatError(f"outcomes in both the estimates and grid files: {both}")
+        profiles.extend(grids)
     model = fit_error_model(profiles)
     with ExitStack() as stack:
         out = _open_out(stack, args.out)

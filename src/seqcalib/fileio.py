@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+
+import numpy as np
 
 from .errormodel import ErrorModel
 from .likelihood import GridProfile, NormalApprox
@@ -93,6 +96,13 @@ _RESULT_COLUMNS: dict[str, _Parser] = {
 }
 
 
+def _data_lines(f: Iterable[str], at: list[int]) -> Iterator[str]:
+    """Yield f's lines that are neither blank nor `#` comments; at[0] is the last one's number."""
+    for at[0], raw in enumerate(f, start=1):
+        if (text := raw.lstrip()) and text[0] != "#":
+            yield raw
+
+
 def _read_table(
     f: TextIO, schema: Mapping[str, _Parser], optional: Mapping[str, object] | None = None
 ) -> Iterator[tuple[int, dict[str, object]]]:
@@ -105,40 +115,33 @@ def _read_table(
     line.
     """
     optional = optional or {}
-    line = 0
-
-    def data_lines() -> Iterator[str]:
-        nonlocal line  # the physical number of the line last handed to the reader
-        for line, raw in enumerate(f, start=1):
-            if raw.strip() and not raw.lstrip().startswith("#"):
-                yield raw
-
-    reader = csv.reader(data_lines())
+    at = [0]  # the physical number of the line last handed to the reader
+    reader = csv.reader(_data_lines(f, at))
     fields = next(reader, None)
     if fields is None:
         raise FileFormatError("no header row found")
     header = [c.strip() for c in fields]
     duplicated = sorted({c for c in header if header.count(c) > 1})
     if duplicated:
-        raise FileFormatError(f"duplicate columns: {duplicated}", line)
+        raise FileFormatError(f"duplicate columns: {duplicated}", at[0])
     missing = [c for c in schema if c not in header and c not in optional]
     if missing:
-        raise FileFormatError(f"missing columns: {missing}", line)
+        raise FileFormatError(f"missing columns: {missing}", at[0])
     unknown = [c for c in header if c not in schema]
     if unknown:
-        raise FileFormatError(f"unknown columns: {unknown}", line)
+        raise FileFormatError(f"unknown columns: {unknown}", at[0])
     columns = [(c, schema[c]) for c in header]
     absent = {c: v for c, v in optional.items() if c not in header}
     for fields in reader:
         if len(fields) != len(columns):
-            raise FileFormatError(f"expected {len(columns)} fields, got {len(fields)}", line)
+            raise FileFormatError(f"expected {len(columns)} fields, got {len(fields)}", at[0])
         row = dict(absent)
         for (column, parse), text in zip(columns, fields):
             try:
                 row[column] = parse(text)
             except ValueError as exc:
-                raise FileFormatError(f"column {column}: {exc}", line) from None
-        yield line, row
+                raise FileFormatError(f"column {column}: {exc}", at[0]) from None
+        yield at[0], row
 
 
 def _build(line: int, make: Callable[..., object], *args, **kwargs):
@@ -173,12 +176,14 @@ def _write_rows(f: TextIO, columns: Sequence[str], rows: Iterable[Sequence[objec
 
 
 def read_estimates(f: TextIO) -> list[NormalApprox]:
-    """Columns: outcome_id, log_rr, se_log_rr."""
-    rows = _read_table(f, {"outcome_id": str, "log_rr": float, "se_log_rr": float})
-    return [
-        _build(line, NormalApprox, row["log_rr"], row["se_log_rr"], row["outcome_id"])
-        for line, row in rows
-    ]
+    """Columns: outcome_id, log_rr, se_log_rr (one row per outcome)."""
+    estimates: dict[str, NormalApprox] = {}
+    for line, row in _read_table(f, {"outcome_id": str, "log_rr": float, "se_log_rr": float}):
+        oid = row["outcome_id"]
+        if oid in estimates:
+            raise FileFormatError(f"duplicate outcome {oid}", line)
+        estimates[oid] = _build(line, NormalApprox, row["log_rr"], row["se_log_rr"], oid)
+    return list(estimates.values())
 
 
 def write_estimates(
@@ -192,12 +197,29 @@ def write_estimates(
     )
 
 
+_GRID_SCHEMA = {"outcome_id": str, "log_rr_grid_point": float, "log_likelihood": float}
+
+
 def read_grid_profiles(f: TextIO) -> list[GridProfile]:
-    """Columns: outcome_id, log_rr_grid_point, log_likelihood (each outcome's rows contiguous)."""
-    schema = {"outcome_id": str, "log_rr_grid_point": float, "log_likelihood": float}
+    """Columns: outcome_id, log_rr_grid_point, log_likelihood (each outcome's rows contiguous).
+
+    numpy's C reader parses the rows. A file that it refuses, or whose
+    profiles fail to validate, is read again row by row, which reports the
+    fault at its line or accepts a float only Python reads, such as `1_0`.
+    A stream that cannot seek or tell its position is read row by row alone.
+    """
+    try:
+        start = f.tell() if f.seekable() else None
+    except OSError:  # a text file that next() has read from cannot tell its position
+        start = None
+    if start is not None:
+        try:
+            return _grid_profiles_from_columns(f)
+        except ValueError:
+            f.seek(start)
     grouped: dict[str, tuple[int, list[float], list[float]]] = {}
     previous = None
-    for line, row in _read_table(f, schema):
+    for line, row in _read_table(f, _GRID_SCHEMA):
         oid = row["outcome_id"]
         if oid != previous and oid in grouped:
             raise FileFormatError(f"rows of outcome {oid} are not contiguous", line)
@@ -209,6 +231,27 @@ def read_grid_profiles(f: TextIO) -> list[GridProfile]:
         _build(first_line, GridProfile, xs, lls, outcome_id=oid)
         for oid, (first_line, xs, lls) in grouped.items()
     ]
+
+
+def _grid_profiles_from_columns(f: TextIO) -> list[GridProfile]:
+    """read_grid_profiles through one np.loadtxt call; any fault raises ValueError."""
+    lines = _data_lines(f, [0])
+    header = [c.strip() for c in next(csv.reader(lines), ())]
+    if sorted(header) != sorted(_GRID_SCHEMA):  # the per-row reader says how it differs
+        raise ValueError("the header does not name the grid-profile columns")
+    first = next(lines, None)
+    if first is None:  # loadtxt warns on no data
+        return []
+    dtype = [(c, object if c == "outcome_id" else np.float64) for c in header]
+    table = np.loadtxt(itertools.chain([first], lines), dtype=dtype, delimiter=",",
+                       comments=None, quotechar='"', ndmin=1)
+    ids, x, ll = (table[c] for c in _GRID_SCHEMA)
+    firsts = np.r_[0, np.flatnonzero(ids[1:] != ids[:-1]) + 1]
+    if len(set(ids[firsts])) < len(firsts):
+        raise ValueError("the rows of an outcome are not contiguous")
+    bounds = zip(firsts, [*firsts[1:], len(ids)])
+    # copies, as a view into table would keep every row's id string alive
+    return [GridProfile(x[a:b].copy(), ll[a:b].copy(), outcome_id=ids[a]) for a, b in bounds]
 
 
 # ----------------------------------------------------------------- schedule

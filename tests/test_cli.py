@@ -80,6 +80,34 @@ class TestFitNull:
         assert main(["fit-null", str(estimates)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_repeated_estimate_exits_2_with_line(self, tmp_path, capsys):
+        estimates = tmp_path / "est.csv"
+        estimates.write_text("outcome_id,log_rr,se_log_rr\na,0.1,0.2\nb,0.2,0.2\na,0.1,0.2\n")
+        assert main(["fit-null", str(estimates)]) == 2
+        assert "line 4: duplicate outcome a" in capsys.readouterr().err
+
+    def test_outcome_in_estimates_and_grid_file_exits_2(self, tmp_path, capsys):
+        estimates = tmp_path / "est.csv"
+        write_estimates_file(estimates, [NormalApprox(0.1 * i, 0.2, f"nc{i}") for i in range(4)])
+        grid = tmp_path / "grid.csv"
+        grid.write_text(
+            "outcome_id,log_rr_grid_point,log_likelihood\n"
+            "g,-1,-1\ng,0,0\ng,1,-1\nnc2,-1,-1\nnc2,0,0\nnc2,1,-1\n"
+        )
+        assert main(["fit-null", str(estimates), "--grid-file", str(grid)]) == 2
+        assert "['nc2']" in capsys.readouterr().err
+
+    def test_grid_parse_error_exits_2_with_line(self, tmp_path, capsys):
+        estimates = tmp_path / "est.csv"
+        write_estimates_file(estimates, [NormalApprox(0.1 * i, 0.2, f"nc{i}") for i in range(4)])
+        grid = tmp_path / "grid.csv"
+        grid.write_text(
+            "# seqcalib grid-profiles v1\noutcome_id,log_rr_grid_point,log_likelihood\n"
+            "g,-1,-1\n# note\ng,0,0\ng,1,-1,0\n"
+        )
+        assert main(["fit-null", str(estimates), "--grid-file", str(grid)]) == 2
+        assert "line 6: expected 3 fields, got 4" in capsys.readouterr().err
+
     def test_fit_failure_exits_3(self, tmp_path):
         estimates = tmp_path / "est.csv"
         write_estimates_file(estimates, [NormalApprox(0.0, 0.1, "only")])

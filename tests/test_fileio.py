@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,12 @@ class TestEstimates:
         text = "outcome_id,log_rr\na,0.1\n"
         with pytest.raises(fileio.FileFormatError):
             fileio.read_estimates(io.StringIO(text))
+
+    def test_repeated_outcome_rejected_at_its_line(self):
+        text = "outcome_id,log_rr,se_log_rr\na,0.1,0.2\n# a comment\nb,0.1,0.2\na,0.3,0.2\n"
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_estimates(io.StringIO(text))
+        assert str(err.value) == "line 5: duplicate outcome a"
 
     def test_duplicate_column_rejected_at_header(self):
         text = "# seqcalib estimates v1\noutcome_id,log_rr,se_log_rr,log_rr\na,0.1,0.2,0.3\n"
@@ -89,6 +96,168 @@ class TestGridProfiles:
         with pytest.raises(fileio.FileFormatError) as err:
             fileio.read_grid_profiles(io.StringIO(text))
         assert str(err.value) == "line 9: rows of outcome a are not contiguous"
+
+
+GRID_HEADER = "outcome_id,log_rr_grid_point,log_likelihood"
+
+
+def grid_text(n_outcomes, n_points, seed=0, ids=None, newline="\n"):
+    """A grid-profile file of n_outcomes concave profiles, their floats at full precision."""
+    rng = np.random.default_rng(seed)
+    rows = ["# seqcalib grid-profiles v1", GRID_HEADER]
+    for i in range(n_outcomes):
+        x = np.sort(rng.uniform(-3.0, 3.0, n_points))
+        ll = -((x - rng.normal()) ** 2) * rng.uniform(0.5, 5.0)
+        oid = ids[i] if ids else f"g{i}"
+        rows += [f"{oid},{float(a)!r},{float(b)!r}" for a, b in zip(x, ll)]
+    return newline.join(rows) + newline
+
+
+def assert_same_profiles(actual, expected):
+    assert [p.outcome_id for p in actual] == [p.outcome_id for p in expected]
+    for a, e in zip(actual, expected):
+        assert np.array_equal(a.grid_points.view(np.int64), e.grid_points.view(np.int64))
+        assert np.array_equal(a.log_likelihoods.view(np.int64), e.log_likelihoods.view(np.int64))
+
+
+class Unseekable(io.StringIO):
+    """A text stream that cannot seek, which read_grid_profiles reads row by row."""
+
+    def seekable(self):
+        return False
+
+
+def columns_and_rows(text):
+    """Parse text with the C reader and with the per-row reader; the two must agree."""
+    fast = fileio._grid_profiles_from_columns(io.StringIO(text))
+    assert_same_profiles(fast, fileio.read_grid_profiles(Unseekable(text)))
+    return fast
+
+
+def with_fault(text, row, fault):
+    """text with fault applied to its data row number row (counted from 1)."""
+    lines = text.splitlines(keepends=True)
+    lines[row + 1] = fault(lines[row + 1])
+    return "".join(lines)
+
+
+class TestGridProfilesDifferential:
+    def test_quoted_ids_with_commas_quotes_and_hashes(self):
+        ids = ['"a,b"', '"say ""hi"""', '"#3"', "x#y", '"#,"""']
+        parsed = columns_and_rows(grid_text(5, 4, ids=ids))
+        assert [p.outcome_id for p in parsed] == ["a,b", 'say "hi"', "#3", "x#y", '#,"']
+
+    def test_blank_and_comment_lines_between_rows(self):
+        lines = grid_text(3, 5).splitlines(keepends=True)
+        for i in (12, 9, 6, 3):
+            lines[i:i] = ["\n", "   \t\n", "  # an indented comment\n", "#\n"]
+        parsed = columns_and_rows("".join(lines))
+        assert [p.grid_points.size for p in parsed] == [5, 5, 5]
+
+    def test_header_columns_in_another_order(self):
+        lines = grid_text(3, 5).splitlines()
+        reordered = ["log_likelihood,outcome_id,log_rr_grid_point"] + [
+            ",".join([ll, oid, x]) for oid, x, ll in (r.split(",") for r in lines[2:])
+        ]
+        parsed = columns_and_rows("\n".join(reordered) + "\n")
+        assert_same_profiles(parsed, fileio.read_grid_profiles(io.StringIO("\n".join(lines))))
+
+    def test_crlf_line_endings(self):
+        parsed = columns_and_rows(grid_text(3, 5, newline="\r\n"))
+        assert_same_profiles(parsed, fileio.read_grid_profiles(io.StringIO(grid_text(3, 5))))
+
+    def test_single_outcome(self):
+        assert len(columns_and_rows(grid_text(1, 3))) == 1
+
+    def test_more_rows_than_one_loadtxt_chunk(self):
+        parsed = columns_and_rows(grid_text(51, 1000, seed=5))  # loadtxt reads 50,000 at a time
+        assert sum(p.grid_points.size for p in parsed) == 51_000
+
+    def test_seekable_stream_takes_the_column_path(self, monkeypatch):
+        monkeypatch.setattr(fileio, "_read_table", None)
+        assert len(fileio.read_grid_profiles(io.StringIO(grid_text(2, 4)))) == 2
+
+
+LONG_GRID = grid_text(51, 1000, seed=7)  # 51,000 data rows
+
+
+class TestGridProfileErrors:
+    # data row k is on line k + 2; outcome g50's rows are 50,001-51,000
+    @pytest.mark.parametrize(
+        "row, fault, message",
+        [
+            (50_500, lambda r: "g50,x1,0\n",
+             "line 50502: column log_rr_grid_point: could not convert string to float: 'x1'"),
+            (50_500, lambda r: r.rstrip("\n") + ",0.0\n", "line 50502: expected 3 fields, got 4"),
+            (50_500, lambda r: r.rsplit(",", 1)[0] + "\n", "line 50502: expected 3 fields, got 2"),
+            (50_500, lambda r: "g0," + r.split(",", 1)[1],
+             "line 50502: rows of outcome g0 are not contiguous"),
+            (50_500, lambda r: r.rsplit(",", 1)[0] + ",inf\n",
+             "line 50003: grid values must be finite"),
+            (50_500, lambda r: "g50,9.0,0\n",
+             "line 50003: grid_points must be strictly ascending"),
+        ],
+        ids=["bad-float", "extra-field", "missing-field", "non-contiguous", "non-finite",
+             "unsorted"],
+    )
+    def test_fault_after_row_50000_keeps_message_and_line(self, row, fault, message):
+        text = with_fault(LONG_GRID, row, fault)
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_grid_profiles(io.StringIO(text))
+        with pytest.raises(fileio.FileFormatError) as by_row:
+            fileio.read_grid_profiles(Unseekable(text))
+        assert str(err.value) == str(by_row.value) == message
+        assert err.value.line == by_row.value.line
+
+    def test_outcome_returning_with_a_valid_grid_is_rejected(self):
+        text = LONG_GRID + "g0,5.0,0\ng0,6.0,0\ng0,7.0,0\n"
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_grid_profiles(io.StringIO(text))
+        assert str(err.value) == "line 51003: rows of outcome g0 are not contiguous"
+
+    def test_bad_float_at_row_60000_reports_its_line(self):
+        text = with_fault(grid_text(61, 1000, seed=2), 60_000, lambda r: "g59,bad,0\n")
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_grid_profiles(io.StringIO(text))
+        assert str(err.value) == (
+            "line 60002: column log_rr_grid_point: could not convert string to float: 'bad'"
+        )
+
+    def test_value_only_python_float_reads_is_accepted(self):
+        text = GRID_HEADER + "\ng,-1_0,-1\ng,0,0\ng,1,-1\n"
+        (profile,) = fileio.read_grid_profiles(io.StringIO(text))
+        assert profile.grid_points.tolist() == [-10.0, 0.0, 1.0]
+
+    def test_non_seekable_stream(self):
+        text = grid_text(3, 5)
+        by_row = fileio.read_grid_profiles(Unseekable(text))
+        assert_same_profiles(by_row, fileio.read_grid_profiles(io.StringIO(text)))
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_grid_profiles(Unseekable(with_fault(text, 7, lambda r: "g1,x,0\n")))
+        assert err.value.line == 9
+
+    def test_file_partly_read_by_next(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text(grid_text(3, 5))
+        with open(path, encoding="utf-8") as f:
+            next(f)  # a text file read this way cannot tell its position
+            parsed = fileio.read_grid_profiles(f)
+        assert_same_profiles(parsed, fileio.read_grid_profiles(io.StringIO(grid_text(3, 5))))
+
+    def test_header_only_file_is_empty_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fileio.read_grid_profiles(io.StringIO(f"# seqcalib v1\n{GRID_HEADER}\n\n")) == []
+
+    def test_fallback_rereads_a_file_from_where_it_started(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text(with_fault(grid_text(3, 5), 12, lambda r: "g2,0.5,nope\n"))
+        with open(path, encoding="utf-8") as f:
+            with pytest.raises(fileio.FileFormatError) as err:
+                fileio.read_grid_profiles(f)
+        assert str(err.value) == (
+            "line 14: column log_likelihood: could not convert string to float: 'nope'"
+        )
 
 
 class TestSchedule:
