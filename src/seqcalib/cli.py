@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -158,6 +157,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         scenarios = matches
 
     if args.workers > 1 and len(scenarios) > 1:  # a forked pool starts every worker at once
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=min(args.workers, len(scenarios))) as pool:
             reports = list(pool.map(run_scenario, scenarios))
     else:

@@ -198,14 +198,16 @@ def write_estimates(
 
 
 _GRID_SCHEMA = {"outcome_id": str, "log_rr_grid_point": float, "log_likelihood": float}
+_GRID_CHUNK_ROWS = 4096  # data lines per np.loadtxt call
 
 
 def read_grid_profiles(f: TextIO) -> list[GridProfile]:
     """Columns: outcome_id, log_rr_grid_point, log_likelihood (each outcome's rows contiguous).
 
-    numpy's C reader parses the rows. A file that it refuses, or whose
-    profiles fail to validate, is read again row by row, which reports the
-    fault at its line or accepts a float only Python reads, such as `1_0`.
+    numpy's C reader parses the rows, _GRID_CHUNK_ROWS lines at a time, so the
+    memory it needs beyond the profiles does not grow with the file. A file
+    that it refuses, or whose profiles fail to validate, is read again row by
+    row, which reports the fault at its line or accepts a float only Python reads.
     A stream that cannot seek or tell its position is read row by row alone.
     """
     try:
@@ -234,24 +236,37 @@ def read_grid_profiles(f: TextIO) -> list[GridProfile]:
 
 
 def _grid_profiles_from_columns(f: TextIO) -> list[GridProfile]:
-    """read_grid_profiles through one np.loadtxt call; any fault raises ValueError."""
+    """read_grid_profiles through np.loadtxt; any fault raises ValueError.
+
+    loadtxt reads lists of _GRID_CHUNK_ROWS data lines, so only one list's lines and ids
+    are Python strings at a time. An outcome that straddles lists joins its slices.
+    """
     lines = _data_lines(f, [0])
     header = [c.strip() for c in next(csv.reader(lines), ())]
     if sorted(header) != sorted(_GRID_SCHEMA):  # the per-row reader says how it differs
         raise ValueError("the header does not name the grid-profile columns")
-    first = next(lines, None)
-    if first is None:  # loadtxt warns on no data
-        return []
     dtype = [(c, object if c == "outcome_id" else np.float64) for c in header]
-    table = np.loadtxt(itertools.chain([first], lines), dtype=dtype, delimiter=",",
-                       comments=None, quotechar='"', ndmin=1)
-    ids, x, ll = (table[c] for c in _GRID_SCHEMA)
-    firsts = np.r_[0, np.flatnonzero(ids[1:] != ids[:-1]) + 1]
-    if len(set(ids[firsts])) < len(firsts):
-        raise ValueError("the rows of an outcome are not contiguous")
-    bounds = zip(firsts, [*firsts[1:], len(ids)])
-    # copies, as a view into table would keep every row's id string alive
-    return [GridProfile(x[a:b].copy(), ll[a:b].copy(), outcome_id=ids[a]) for a, b in bounds]
+    pieces: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+    previous = None
+    while chunk := list(itertools.islice(lines, _GRID_CHUNK_ROWS)):  # loadtxt warns on none
+        table = np.loadtxt(chunk, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                           ndmin=1)
+        ids, x, ll = (table[c] for c in _GRID_SCHEMA)
+        firsts = np.r_[0, np.flatnonzero(ids[1:] != ids[:-1]) + 1]
+        for a, b in zip(firsts, [*firsts[1:], len(ids)]):
+            if ids[a] != previous and ids[a] in pieces:
+                raise ValueError("the rows of an outcome are not contiguous")
+            previous = ids[a]
+            xs, lls = pieces.setdefault(previous, ([], []))
+            xs.append(x[a:b].copy())  # a view into table would keep the chunk's ids alive
+            lls.append(ll[a:b].copy())
+    return [GridProfile(_joined(xs), _joined(lls), outcome_id=oid)
+            for oid, (xs, lls) in pieces.items()]
+
+
+def _joined(pieces: list[np.ndarray]) -> np.ndarray:
+    """The pieces as one array; a single piece is returned as it is, not copied."""
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 # ----------------------------------------------------------------- schedule

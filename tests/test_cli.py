@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import math
 
@@ -407,7 +408,8 @@ class TestSimulateWorkers:
             return ErrorRateReport(scenario.name, [ErrorRateRow(0, "uncal_p", 1.0, "type1", 0.0)])
 
         monkeypatch.setattr(cli, "run_scenario", stub)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+        # cmd_simulate imports the pool class from concurrent.futures when it uses one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(RecordingExecutor, "sizes", [])
         return names
 

@@ -30,6 +30,11 @@ def test_importing_the_package_and_cli_loads_no_optimizer_or_linalg():
     assert run_fresh(code) == ""
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    code = "import sys, seqcalib.cli\nprint('multiprocessing' in sys.modules)\n"
+    assert run_fresh(code) == "False"
+
+
 NO_SCIPY = """
 import sys
 from pathlib import Path
