@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import ExitStack
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import fileio
@@ -32,40 +32,40 @@ __all__ = ["main"]
 _SEED_ECHOED = "echoed in the output provenance; exact critical values do not depend on it"
 
 
-def _open_out(stack: ExitStack, path: str):
-    if path == "-":
-        return sys.stdout
-    return stack.enter_context(open(path, "w", encoding="utf-8"))
+def _open_in(path: str):
+    return open(path, encoding="utf-8-sig")  # which skips a byte-order mark, as Excel writes
+
+
+def _open_out(path: str):
+    return nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
 
 
 def cmd_fit_null(args: argparse.Namespace) -> int:
-    with open(args.estimates, encoding="utf-8") as f:
+    with _open_in(args.estimates) as f:
         profiles: list = fileio.read_estimates(f)
     if args.grid_file:
-        with open(args.grid_file, encoding="utf-8") as f:
+        with _open_in(args.grid_file) as f:
             grids = fileio.read_grid_profiles(f)
         both = sorted({p.outcome_id for p in profiles} & {g.outcome_id for g in grids})
         if both:
             raise fileio.FileFormatError(f"outcomes in both the estimates and grid files: {both}")
         profiles.extend(grids)
     model = fit_error_model(profiles)
-    with ExitStack() as stack:
-        out = _open_out(stack, args.out)
+    with _open_out(args.out) as out:
         fileio.write_error_model(out, model, provenance={"n_inputs": len(profiles)})
     return 0
 
 
 def cmd_compute_cv(args: argparse.Namespace) -> int:
-    with open(args.schedule, encoding="utf-8") as f:
+    with _open_in(args.schedule) as f:
         schedule = fileio.read_schedule(f)
     if args.error_model:
-        with open(args.error_model, encoding="utf-8") as f:
+        with _open_in(args.error_model) as f:
             model = fileio.read_error_model(f)
         result = compute_calibrated_cv(schedule, model, NO_REPLICATES)
     else:
         result = compute_cv(schedule, NO_REPLICATES)
-    with ExitStack() as stack:
-        out = _open_out(stack, args.out)
+    with _open_out(args.out) as out:
         fileio.write_cv_record(out, result, provenance={"seed": args.seed})
     return 0
 
@@ -110,11 +110,11 @@ def _build_looks(schedule: LookSchedule, rows: list[dict]) -> list[LookObservati
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    with open(args.schedule, encoding="utf-8") as f:
+    with _open_in(args.schedule) as f:
         schedule = fileio.read_schedule(f)
-    with open(args.looks, encoding="utf-8") as f:
+    with _open_in(args.looks) as f:
         look_rows = fileio.read_looks(f)
-    with open(args.controls, encoding="utf-8") as f:
+    with _open_in(args.controls) as f:
         control_ids = fileio.read_controls(f)
 
     look_ids = {row["outcome_id"] for row in look_rows}
@@ -129,11 +129,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         schedule, looks, control_ids, modes, leave_one_out=not args.no_leave_one_out
     )
     provenance = {"seed": args.seed}
-    with ExitStack() as stack:
-        out = _open_out(stack, args.out)
+    with _open_out(args.out) as out:
         fileio.write_results_table(out, result, provenance=provenance)
-    with ExitStack() as stack:
-        out = _open_out(stack, args.summary)
+    with _open_out(args.summary) as out:
         fileio.write_type1_summary(out, type1_report(result), provenance=provenance)
     return 0
 
@@ -163,8 +161,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         reports = [run_scenario(s) for s in scenarios]
 
-    with ExitStack() as stack:
-        out = _open_out(stack, args.out)
+    with _open_out(args.out) as out:
         fileio.write_simulation_rows(
             out,
             reports,

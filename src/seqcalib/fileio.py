@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _Parser = Callable[[str], object]
+_Columns = Sequence[tuple[str, _Parser]]  # each header column's name and parser
 
 
 class FileFormatError(ValueError):
@@ -96,52 +97,69 @@ _RESULT_COLUMNS: dict[str, _Parser] = {
 }
 
 
-def _data_lines(f: Iterable[str], at: list[int]) -> Iterator[str]:
-    """Yield f's lines that are neither blank nor `#` comments; at[0] is the last one's number."""
-    for at[0], raw in enumerate(f, start=1):
-        if (text := raw.lstrip()) and text[0] != "#":
-            yield raw
+def _data_lines(f: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each of f's lines that is neither blank nor a `#` comment."""
+    for number, line in enumerate(f, start=1):
+        if (text := line.lstrip()) and text[0] != "#":
+            yield number, line
 
 
-def _read_table(
-    f: TextIO, schema: Mapping[str, _Parser], optional: Mapping[str, object] | None = None
-) -> Iterator[tuple[int, dict[str, object]]]:
-    """Yield (line number, {column: parsed value}) for each data row.
+def _records(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, list[str]]]:
+    """(number of its last line, fields) per csv record; the reader takes no line past a record's."""
+    at = [0]
+    try:
+        for fields in csv.reader(line for at[0], line in lines):
+            yield at[0], fields
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        raise FileFormatError(str(exc), at[0]) from None
 
-    Blank and `#` comment lines are skipped. The header must name each
-    schema column once and no other column; a column in optional may be
-    absent, and every row then holds its default value. A field its
-    column's parser rejects with ValueError raises FileFormatError at its
-    line.
+
+def _header(records: Iterator[tuple[int, list[str]]], schema: Mapping[str, _Parser],
+            optional: Mapping[str, object] | None = None) -> tuple[_Columns, dict[str, object]]:
+    """Each header column's (name, parser), and the defaults of the absent optional columns.
+
+    The header must name each schema column once and no other; a column in optional may be absent.
     """
     optional = optional or {}
-    at = [0]  # the physical number of the line last handed to the reader
-    reader = csv.reader(_data_lines(f, at))
-    fields = next(reader, None)
+    line, fields = next(records, (None, None))
     if fields is None:
         raise FileFormatError("no header row found")
     header = [c.strip() for c in fields]
     duplicated = sorted({c for c in header if header.count(c) > 1})
     if duplicated:
-        raise FileFormatError(f"duplicate columns: {duplicated}", at[0])
+        raise FileFormatError(f"duplicate columns: {duplicated}", line)
     missing = [c for c in schema if c not in header and c not in optional]
     if missing:
-        raise FileFormatError(f"missing columns: {missing}", at[0])
+        raise FileFormatError(f"missing columns: {missing}", line)
     unknown = [c for c in header if c not in schema]
     if unknown:
-        raise FileFormatError(f"unknown columns: {unknown}", at[0])
-    columns = [(c, schema[c]) for c in header]
-    absent = {c: v for c, v in optional.items() if c not in header}
-    for fields in reader:
+        raise FileFormatError(f"unknown columns: {unknown}", line)
+    return [(c, schema[c]) for c in header], {c: v for c, v in optional.items() if c not in header}
+
+
+def _rows(records: Iterable[tuple[int, list[str]]], columns: _Columns,
+          absent: Mapping[str, object]) -> Iterator[tuple[int, dict[str, object]]]:
+    """(line number, {column: parsed value}) per record, absent columns at their defaults.
+
+    A field its column's parser rejects with ValueError raises FileFormatError at its line.
+    """
+    for line, fields in records:
         if len(fields) != len(columns):
-            raise FileFormatError(f"expected {len(columns)} fields, got {len(fields)}", at[0])
+            raise FileFormatError(f"expected {len(columns)} fields, got {len(fields)}", line)
         row = dict(absent)
         for (column, parse), text in zip(columns, fields):
             try:
                 row[column] = parse(text)
             except ValueError as exc:
-                raise FileFormatError(f"column {column}: {exc}", at[0]) from None
-        yield at[0], row
+                raise FileFormatError(f"column {column}: {exc}", line) from None
+        yield line, row
+
+
+def _read_table(f: TextIO, schema: Mapping[str, _Parser],
+                optional: Mapping[str, object] | None = None) -> Iterator[tuple[int, dict]]:
+    """(line number, {column: parsed value}) per data row of f; blank and `#` lines are skipped."""
+    records = _records(_data_lines(f))
+    return _rows(records, *_header(records, schema, optional))
 
 
 def _build(line: int, make: Callable[..., object], *args, **kwargs):
@@ -204,67 +222,48 @@ _GRID_CHUNK_ROWS = 4096  # data lines per np.loadtxt call
 def read_grid_profiles(f: TextIO) -> list[GridProfile]:
     """Columns: outcome_id, log_rr_grid_point, log_likelihood (each outcome's rows contiguous).
 
-    numpy's C reader parses the rows, _GRID_CHUNK_ROWS lines at a time, so the
-    memory it needs beyond the profiles does not grow with the file. A file
-    that it refuses, or whose profiles fail to validate, is read again row by
-    row, which reports the fault at its line or accepts a float only Python reads.
-    A stream that cannot seek or tell its position is read row by row alone.
+    f is read once, forward, so it may be a pipe. numpy's C reader parses the data
+    lines _GRID_CHUNK_ROWS at a time, so the parse's memory beyond the profiles does
+    not grow with the file. The row parser reads the first chunk that numpy refuses
+    and all after it: it reports a fault at its line and reads floats such as `1_0`.
     """
-    try:
-        start = f.tell() if f.seekable() else None
-    except OSError:  # a text file that next() has read from cannot tell its position
-        start = None
-    if start is not None:
-        try:
-            return _grid_profiles_from_columns(f)
-        except ValueError:
-            f.seek(start)
-    grouped: dict[str, tuple[int, list[float], list[float]]] = {}
+    lines = _data_lines(f)
+    columns, _ = _header(_records(lines), _GRID_SCHEMA)
+    grouped: dict[str, tuple[int, list, list]] = {}
     previous = None
-    for line, row in _read_table(f, _GRID_SCHEMA):
-        oid = row["outcome_id"]
+    for line, oid, x, ll in _grid_runs(lines, columns):
         if oid != previous and oid in grouped:
             raise FileFormatError(f"rows of outcome {oid} are not contiguous", line)
         previous = oid
         _, xs, lls = grouped.setdefault(oid, (line, [], []))
-        xs.append(row["log_rr_grid_point"])
-        lls.append(row["log_likelihood"])
-    return [
-        _build(first_line, GridProfile, xs, lls, outcome_id=oid)
-        for oid, (first_line, xs, lls) in grouped.items()
-    ]
+        xs.append(x)
+        lls.append(ll)
+    return [_build(first_line, GridProfile, _joined(xs), _joined(lls), outcome_id=oid)
+            for oid, (first_line, xs, lls) in grouped.items()]
 
 
-def _grid_profiles_from_columns(f: TextIO) -> list[GridProfile]:
-    """read_grid_profiles through np.loadtxt; any fault raises ValueError.
-
-    loadtxt reads lists of _GRID_CHUNK_ROWS data lines, so only one list's lines and ids
-    are Python strings at a time. An outcome that straddles lists joins its slices.
-    """
-    lines = _data_lines(f, [0])
-    header = [c.strip() for c in next(csv.reader(lines), ())]
-    if sorted(header) != sorted(_GRID_SCHEMA):  # the per-row reader says how it differs
-        raise ValueError("the header does not name the grid-profile columns")
-    dtype = [(c, object if c == "outcome_id" else np.float64) for c in header]
-    pieces: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
-    previous = None
+def _grid_runs(lines: Iterator[tuple[int, str]], columns: _Columns) -> Iterator[tuple]:
+    """(first line, id, grid points, log likelihoods) per run of one id's rows in a chunk."""
+    dtype = [(c, object if c == "outcome_id" else np.float64) for c, _ in columns]
     while chunk := list(itertools.islice(lines, _GRID_CHUNK_ROWS)):  # loadtxt warns on none
-        table = np.loadtxt(chunk, dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                           ndmin=1)
+        try:
+            table = np.loadtxt([line for _, line in chunk], dtype=dtype, delimiter=",",
+                               comments=None, quotechar='"', ndmin=1)
+        except ValueError:
+            break
         ids, x, ll = (table[c] for c in _GRID_SCHEMA)
+        # a quoted field over a line end would misnumber rows or run into the next chunk
+        if len(ids) < len(chunk) or "\n" in ids[-1]:
+            break
         firsts = np.r_[0, np.flatnonzero(ids[1:] != ids[:-1]) + 1]
         for a, b in zip(firsts, [*firsts[1:], len(ids)]):
-            if ids[a] != previous and ids[a] in pieces:
-                raise ValueError("the rows of an outcome are not contiguous")
-            previous = ids[a]
-            xs, lls = pieces.setdefault(previous, ([], []))
-            xs.append(x[a:b].copy())  # a view into table would keep the chunk's ids alive
-            lls.append(ll[a:b].copy())
-    return [GridProfile(_joined(xs), _joined(lls), outcome_id=oid)
-            for oid, (xs, lls) in pieces.items()]
+            # a view into table would keep the chunk's ids alive
+            yield chunk[a][0], ids[a], x[a:b].copy(), ll[a:b].copy()
+    for line, row in _rows(_records(itertools.chain(chunk, lines)), columns, {}):
+        yield line, row["outcome_id"], [row["log_rr_grid_point"]], [row["log_likelihood"]]
 
 
-def _joined(pieces: list[np.ndarray]) -> np.ndarray:
+def _joined(pieces: list[Sequence[float]]) -> Sequence[float]:
     """The pieces as one array; a single piece is returned as it is, not copied."""
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
@@ -279,10 +278,12 @@ def read_schedule(f: TextIO) -> LookSchedule:
     if not rows:
         raise FileFormatError("schedule has no looks")
     line0, row0 = rows[0]
-    if len({(row["model"], row["p"], row["alpha"]) for _, row in rows}) != 1:
-        raise FileFormatError("model, p, and alpha must be constant across rows", line0)
     increments: dict[int, float] = {}
     for line, row in rows:
+        if (row["model"], row["p"], row["alpha"]) != (row0["model"], row0["p"], row0["alpha"]):
+            raise FileFormatError("model, p, and alpha must be constant across rows", line)
+        if not 0.0 < row["e_t"] < float("inf"):
+            raise FileFormatError("expected increments must be positive and finite", line)
         if row["t"] in increments:
             raise FileFormatError(f"duplicate look {row['t']}", line)
         increments[row["t"]] = row["e_t"]

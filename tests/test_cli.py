@@ -109,6 +109,29 @@ class TestFitNull:
         assert main(["fit-null", str(estimates), "--grid-file", str(grid)]) == 2
         assert "line 6: expected 3 fields, got 4" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        estimates = fileio.dumps(
+            fileio.write_estimates, [NormalApprox(0.1 * i, 0.2, f"nc{i}") for i in range(4)]
+        )
+        grid = "# seqcalib grid-profiles v1\noutcome_id,log_rr_grid_point,log_likelihood\n" + "".join(
+            f"g{k},{x},{-(x - 0.1 * k) ** 2}\n" for k in range(3) for x in (-1.0, 0.0, 1.0)
+        )
+        outputs = []
+        for mark in ("", "\ufeff"):
+            (tmp_path / "est.csv").write_text(mark + estimates, encoding="utf-8")
+            (tmp_path / "grid.csv").write_text(mark + grid, encoding="utf-8")
+            out = tmp_path / f"model{len(outputs)}.csv"
+            assert main(["fit-null", str(tmp_path / "est.csv"), "--grid-file",
+                         str(tmp_path / "grid.csv"), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_field_over_the_csv_size_limit_exits_2_with_line(self, tmp_path, capsys):
+        estimates = tmp_path / "est.csv"
+        estimates.write_text(f"outcome_id,log_rr,se_log_rr\na,0.1,0.2\n{'x' * 200_000},0.1,0.2\n")
+        assert main(["fit-null", str(estimates)]) == 2
+        assert "line 3: field larger than field limit" in capsys.readouterr().err
+
     def test_fit_failure_exits_3(self, tmp_path):
         estimates = tmp_path / "est.csv"
         write_estimates_file(estimates, [NormalApprox(0.0, 0.1, "only")])

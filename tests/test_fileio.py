@@ -1,4 +1,7 @@
+import contextlib
+import csv
 import io
+import re
 import tracemalloc
 import warnings
 
@@ -47,6 +50,14 @@ class TestEstimates:
         with pytest.raises(fileio.FileFormatError) as err:
             fileio.read_estimates(io.StringIO(text))
         assert str(err.value) == "line 5: duplicate outcome a"
+
+    def test_field_over_the_csv_size_limit_reports_its_line(self):
+        long_id = "x" * (csv.field_size_limit() + 1)
+        text = f"# seqcalib estimates v1\noutcome_id,log_rr,se_log_rr\na,0.1,0.2\n{long_id},0.1,0.2\n"
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_estimates(io.StringIO(text))
+        assert err.value.line == 4
+        assert "field larger than field limit" in str(err.value)
 
     def test_duplicate_column_rejected_at_header(self):
         text = "# seqcalib estimates v1\noutcome_id,log_rr,se_log_rr,log_rr\na,0.1,0.2,0.3\n"
@@ -122,16 +133,55 @@ def assert_same_profiles(actual, expected):
 
 
 class Unseekable(io.StringIO):
-    """A text stream that cannot seek, which read_grid_profiles reads row by row."""
+    """A text stream that, like a pipe, cannot seek or tell its position."""
 
     def seekable(self):
         return False
 
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+def refuse(*args, **kwargs):
+    raise ValueError("refused")
+
+
+@contextlib.contextmanager
+def rows_only():
+    """np.loadtxt refuses every chunk, so read_grid_profiles parses every row with the row parser."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", refuse)
+        yield
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """The number of lines of each np.loadtxt call, and the line of each row from the row parser."""
+    seen = {"loadtxt": [], "row_parser": []}
+    loadtxt, rows = np.loadtxt, fileio._rows
+
+    def counted_loadtxt(lines, *args, **kwargs):
+        seen["loadtxt"].append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    def traced_rows(*args):
+        for line, row in rows(*args):
+            seen["row_parser"].append(line)
+            yield line, row
+
+    monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+    monkeypatch.setattr(fileio, "_rows", traced_rows)
+    return seen
+
 
 def columns_and_rows(text):
-    """Parse text with the C reader and with the per-row reader; the two must agree."""
-    fast = fileio._grid_profiles_from_columns(io.StringIO(text))
-    assert_same_profiles(fast, fileio.read_grid_profiles(Unseekable(text)))
+    """Parse text with the C reader and with the row parser alone; the two must agree."""
+    fast = fileio.read_grid_profiles(io.StringIO(text))
+    with rows_only():
+        assert_same_profiles(fast, fileio.read_grid_profiles(io.StringIO(text)))
     return fast
 
 
@@ -174,9 +224,19 @@ class TestGridProfilesDifferential:
         parsed = columns_and_rows(grid_text(51, 1000, seed=5))  # loadtxt reads 50,000 at a time
         assert sum(p.grid_points.size for p in parsed) == 51_000
 
-    def test_seekable_stream_takes_the_column_path(self, monkeypatch):
-        monkeypatch.setattr(fileio, "_read_table", None)
+    def test_seekable_stream_takes_the_column_path(self, spy):
         assert len(fileio.read_grid_profiles(io.StringIO(grid_text(2, 4)))) == 2
+        assert spy["row_parser"] == []
+
+    def test_unseekable_stream_and_file_read_by_next_take_the_column_path(self, spy, tmp_path):
+        text = grid_text(3, 5)
+        path = tmp_path / "grid.csv"
+        path.write_text(text, encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            next(f)  # a text file read this way cannot tell its position
+            assert_same_profiles(fileio.read_grid_profiles(f),
+                                 fileio.read_grid_profiles(Unseekable(text)))
+        assert spy == {"loadtxt": [15, 15], "row_parser": []}
 
 
 class TestGridProfileChunks:
@@ -197,8 +257,8 @@ class TestGridProfileChunks:
     def test_outcome_returning_in_a_later_chunk_fails_at_its_line(self):
         # g0 is rows 1-4 (chunk 1), g1 rows 5-8 (chunk 2), g0 again rows 9-12 (chunk 3)
         text = grid_text(2, 4) + "".join(f"g0,{x}.0,0\n" for x in (5, 6, 7, 8))
-        with pytest.raises(ValueError, match="not contiguous"):
-            fileio._grid_profiles_from_columns(io.StringIO(text))
+        with rows_only(), pytest.raises(ValueError, match="not contiguous"):
+            fileio.read_grid_profiles(io.StringIO(text))
         with pytest.raises(fileio.FileFormatError) as err:
             fileio.read_grid_profiles(io.StringIO(text))
         assert str(err.value) == "line 11: rows of outcome g0 are not contiguous"
@@ -210,6 +270,43 @@ class TestGridProfileChunks:
         assert str(err.value) == (
             "line 8: column log_rr_grid_point: could not convert string to float: 'oops'"
         )
+
+    def test_row_parser_takes_over_at_the_chunk_that_numpy_refuses(self, spy):
+        # rows 1-4, 5-8 and 9-12, on lines 3-14, are the three chunks; row 6 holds a
+        # value with a digit separator, which only Python's float reads
+        text = grid_text(3, 4, seed=1)
+        faulted = with_fault(text, 6, lambda r: re.sub(r"\.(\d)(\d)", r".\1_\2", r, count=1))
+        assert faulted != text
+        parsed = fileio.read_grid_profiles(io.StringIO(faulted))
+        assert spy["loadtxt"] == [4, 4]
+        assert spy["row_parser"] == list(range(7, 15))
+        with rows_only():
+            assert_same_profiles(parsed, fileio.read_grid_profiles(io.StringIO(text)))
+
+    @pytest.mark.parametrize("id_last", [False, True], ids=["id-first", "id-last"])
+    @pytest.mark.parametrize("n_a, chunk_rows", [(3, 4), (4, 4), (4, 4096)],
+                             ids=["across-chunks", "inside-chunks", "one-chunk"])
+    def test_id_quoted_over_two_lines(self, monkeypatch, id_last, n_a, chunk_rows):
+        # a's n_a rows come first, then b's three rows of two lines each, from data line
+        # n_a + 1: in four-line chunks the first crosses a boundary for 3, and none does
+        # for 4; c's grid is unsorted, so the fault names c's first line, n_a + 8
+        monkeypatch.setattr(fileio, "_GRID_CHUNK_ROWS", chunk_rows)
+
+        def row(oid, x):
+            return f"{x},0.0,{oid}\n" if id_last else f"{oid},{x},0.0\n"
+
+        header = "log_rr_grid_point,log_likelihood,outcome_id" if id_last else GRID_HEADER
+        text = "".join([f"{header}\n", *(row("a", x) for x in range(n_a)),
+                        *(row('"two\nlines"', x) for x in range(3)),
+                        *(row("c", x) for x in range(3))])
+        parsed = fileio.read_grid_profiles(io.StringIO(text))
+        with rows_only():
+            assert_same_profiles(parsed, fileio.read_grid_profiles(io.StringIO(text)))
+        assert [p.outcome_id for p in parsed] == ["a", "two\nlines", "c"]
+        unsorted = text.replace(row("c", 2), row("c", -1))
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_grid_profiles(io.StringIO(unsorted))
+        assert str(err.value) == f"line {n_a + 8}: grid_points must be strictly ascending"
 
 
 def test_grid_parse_holds_a_bounded_share_of_rows_as_python_objects(tmp_path):
@@ -254,8 +351,8 @@ class TestGridProfileErrors:
         text = with_fault(LONG_GRID, row, fault)
         with pytest.raises(fileio.FileFormatError) as err:
             fileio.read_grid_profiles(io.StringIO(text))
-        with pytest.raises(fileio.FileFormatError) as by_row:
-            fileio.read_grid_profiles(Unseekable(text))
+        with rows_only(), pytest.raises(fileio.FileFormatError) as by_row:
+            fileio.read_grid_profiles(io.StringIO(text))
         assert str(err.value) == str(by_row.value) == message
         assert err.value.line == by_row.value.line
 
@@ -299,7 +396,7 @@ class TestGridProfileErrors:
             warnings.simplefilter("error")
             assert fileio.read_grid_profiles(io.StringIO(f"# seqcalib v1\n{GRID_HEADER}\n\n")) == []
 
-    def test_fallback_rereads_a_file_from_where_it_started(self, tmp_path):
+    def test_row_parser_continues_a_file_from_the_refused_chunk(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text(with_fault(grid_text(3, 5), 12, lambda r: "g2,0.5,nope\n"))
         with open(path, encoding="utf-8") as f:
@@ -339,6 +436,23 @@ class TestSchedule:
         text = "model,t,e_t,p,alpha\npoisson,1,4.0,,0.05\npoisson,2,4.0,,0.10\n"
         with pytest.raises(fileio.FileFormatError):
             fileio.read_schedule(io.StringIO(text))
+
+    SCHEDULE = "# seqcalib schedule v1\nmodel,t,e_t,p,alpha\n" + "".join(
+        f"poisson,{t},4.0,,0.05\n" for t in (1, 2, 3, 4)
+    )
+
+    @pytest.mark.parametrize("e_t", ["-1.0", "0", "inf", "nan"])
+    def test_bad_increment_in_a_later_row_reports_its_line(self, e_t):
+        text = self.SCHEDULE.replace("poisson,3,4.0", f"poisson,3,{e_t}")
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_schedule(io.StringIO(text))
+        assert str(err.value) == "line 5: expected increments must be positive and finite"
+
+    def test_alpha_differing_in_a_later_row_reports_its_line(self):
+        text = self.SCHEDULE.replace("poisson,3,4.0,,0.05", "poisson,3,4.0,,0.10")
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_schedule(io.StringIO(text))
+        assert str(err.value) == "line 5: model, p, and alpha must be constant across rows"
 
 
 class TestLooks:
@@ -462,53 +576,71 @@ class TestSimulationRows:
 RESULT_ROW = "a,1,true,true,0.1,0.2,0.3,0.4,0.5,2.0,3.0,false,false,false,false"
 
 
-@pytest.mark.parametrize(
-    "reader, header, good_row, bad_row",
-    [
-        (fileio.read_estimates, "outcome_id,log_rr,se_log_rr", "a,0.1,0.2", "b,0.1,x"),
-        (
-            fileio.read_grid_profiles,
-            "outcome_id,log_rr_grid_point,log_likelihood",
-            "g,0.0,-1.0",
-            "g,x,-1.0",
-        ),
-        (
-            fileio.read_schedule,
-            "model,t,e_t,p,alpha",
-            "poisson,1,4.0,,0.05",
-            "poisson,2.5,4.0,,0.05",
-        ),
-        (
-            fileio.read_looks,
-            "outcome_id,look,cumulative_observed,cumulative_total",
-            "a,1,3,7",
-            "a,2,6,many",
-        ),
-        (fileio.read_controls, "outcome_id", "a", "b,c"),
-        (
-            fileio.read_error_model,
-            "mean,sd,n_controls,converged,n_excluded",
-            None,
-            "0.1,0.2,49,yes,0",
-        ),
-        (fileio.read_cv_record, "cv,attained_alpha", None, "1.5,abc"),
-        (
-            fileio.read_results_table,
-            ",".join(fileio._RESULT_COLUMNS),
-            RESULT_ROW,
-            RESULT_ROW.replace("true,true", "true,maybe"),
-        ),
-        (fileio.read_type1_summary, "mode,signal_fraction", "uncal_p,0.25", "cal_p,"),
-        (
-            fileio.read_simulation_rows,
-            "scenario,repeat,mode,effect_size,rate_type,value",
-            "s,0,uncal_p,1.0,type1,0.3",
-            "s,one,uncal_p,1.0,type1,0.3",
-        ),
-    ],
-)
+READER_CASES = [
+    (fileio.read_estimates, "outcome_id,log_rr,se_log_rr", "a,0.1,0.2", "b,0.1,x"),
+    (
+        fileio.read_grid_profiles,
+        "outcome_id,log_rr_grid_point,log_likelihood",
+        "g,0.0,-1.0",
+        "g,x,-1.0",
+    ),
+    (
+        fileio.read_schedule,
+        "model,t,e_t,p,alpha",
+        "poisson,1,4.0,,0.05",
+        "poisson,2.5,4.0,,0.05",
+    ),
+    (
+        fileio.read_looks,
+        "outcome_id,look,cumulative_observed,cumulative_total",
+        "a,1,3,7",
+        "a,2,6,many",
+    ),
+    (fileio.read_controls, "outcome_id", "a", "b,c"),
+    (
+        fileio.read_error_model,
+        "mean,sd,n_controls,converged,n_excluded",
+        None,
+        "0.1,0.2,49,yes,0",
+    ),
+    (fileio.read_cv_record, "cv,attained_alpha", None, "1.5,abc"),
+    (
+        fileio.read_results_table,
+        ",".join(fileio._RESULT_COLUMNS),
+        RESULT_ROW,
+        RESULT_ROW.replace("true,true", "true,maybe"),
+    ),
+    (fileio.read_type1_summary, "mode,signal_fraction", "uncal_p,0.25", "cal_p,"),
+    (
+        fileio.read_simulation_rows,
+        "scenario,repeat,mode,effect_size,rate_type,value",
+        "s,0,uncal_p,1.0,type1,0.3",
+        "s,one,uncal_p,1.0,type1,0.3",
+    ),
+]
+
+
+@pytest.mark.parametrize("reader, header, good_row, bad_row", READER_CASES)
 def test_malformed_field_after_comment_reports_its_line(reader, header, good_row, bad_row):
     lines = ["# seqcalib any v1", header, *([good_row] if good_row else []), "# note", bad_row]
     with pytest.raises(fileio.FileFormatError) as err:
         reader(io.StringIO("\n".join(lines) + "\n"))
     assert err.value.line == len(lines)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        # the first column renamed: a header of one column cannot just drop it
+        (lambda columns: ["renamed", *columns[1:]], "missing columns"),
+        (lambda columns: [*columns, "extra"], "unknown columns"),
+        (lambda columns: [*columns, columns[0]], "duplicate columns"),
+    ],
+    ids=["missing", "unknown", "duplicate"],
+)
+@pytest.mark.parametrize("reader, header", [case[:2] for case in READER_CASES])
+def test_header_fault_after_comments_reports_the_header_line(reader, header, fault, message):
+    lines = ["# seqcalib any v1", "# seed=1", "", ",".join(fault(header.split(","))), "a,1"]
+    with pytest.raises(fileio.FileFormatError, match=message) as err:
+        reader(io.StringIO("\n".join(lines) + "\n"))
+    assert err.value.line == 4
