@@ -238,51 +238,36 @@ def run_scenario(
 
     Type 1 rates are the fraction of rate-ratio-1 outcomes that ever
     signaled; type 2 rates are one minus the signaled fraction per positive
-    effect size. The error model is fitted on all rate-ratio-1 outcomes at
-    each look (no leave-one-out), mirroring a prospective study that tracks
-    a dedicated negative-control set. replicates is accepted and ignored.
+    effect size, among the outcomes informative at some look. Both are read
+    from the result's first-look matrix. The error model is fitted on all
+    rate-ratio-1 outcomes at each look (no leave-one-out), mirroring a
+    prospective study that tracks a dedicated negative-control set.
+    replicates is accepted and ignored.
     """
     schedule = scenario_schedule(scenario)
 
-    specs: list[tuple[str, float, int]] = []
-    index = 0
-    for rr, count in scenario.effect_sizes:
-        for k in range(count):
-            specs.append((f"rr{rr:g}-{k:02d}", rr, index))
-            index += 1
-    control_ids = [oid for oid, rr, _ in specs if rr == 1.0]
-    effect_of = {oid: rr for oid, rr, _ in specs}
-    positive_effects = sorted({rr for _, rr, _ in specs if rr > 1.0})
+    specs = [(f"rr{rr:g}-{k:02d}", rr) for rr, count in scenario.effect_sizes for k in range(count)]
+    control_ids = [oid for oid, rr in specs if rr == 1.0]
+    effect_of = dict(specs)
+    positive_effects = sorted({rr for _, rr in specs if rr > 1.0})
 
     report = ErrorRateReport(scenario=scenario.name)
     for rep in range(scenario.repeats):
-        per_look: list[dict[str, CountData]] = [{} for _ in range(scenario.looks)]
-        for outcome_id, rr, outcome_index in specs:
-            data = generate_outcome_data(scenario, rr, outcome_index, rep)
-            for t, counts in enumerate(data):
+        looks = [LookObservation(t, {}) for t in range(1, scenario.looks + 1)]
+        for outcome_index, (outcome_id, rr) in enumerate(specs):
+            for look, counts in zip(looks, generate_outcome_data(scenario, rr, outcome_index, rep)):
                 if counts is not None:
-                    per_look[t][outcome_id] = counts
-        looks = [LookObservation(t + 1, per_look[t]) for t in range(scenario.looks)]
+                    look.counts[outcome_id] = counts
         result = run_surveillance(schedule, looks, control_ids, ALL_MODES, leave_one_out=False)
 
         type1 = type1_report(result)
-        for mode in ALL_MODES:
-            report.rows.append(ErrorRateRow(rep, mode, 1.0, "type1", type1[mode]))
+        report.rows += [ErrorRateRow(rep, mode, 1.0, "type1", type1[mode]) for mode in ALL_MODES]
+        effect = np.array([effect_of[outcome_id] for outcome_id in result.ids])
         for rr in positive_effects:
-            eligible = [
-                o
-                for o in result.outcomes.values()
-                if effect_of[o.outcome_id] == rr and any(r.informative for r in o.looks)
-            ]
-            if not eligible:
-                continue
-            for mode in ALL_MODES:
-                signaled = sum(
-                    1 for o in eligible if o.first_signal_look.get(mode) is not None
-                )
-                report.rows.append(
-                    ErrorRateRow(rep, mode, rr, "type2", 1.0 - signaled / len(eligible))
-                )
+            n, signaled = result.signaled(effect == rr)
+            if n:
+                for mode, count in zip(ALL_MODES, signaled):
+                    report.rows.append(ErrorRateRow(rep, mode, rr, "type2", 1.0 - count / n))
     return report
 
 

@@ -12,7 +12,9 @@ controls.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -32,6 +34,7 @@ from .maxsprt import NO_REPLICATES, LookSchedule, compute_calibrated_cv, compute
 
 __all__ = [
     "ALL_MODES",
+    "LookColumns",
     "LookObservation",
     "LookRecord",
     "OutcomeResult",
@@ -88,12 +91,50 @@ class OutcomeResult:
     first_signal_look: dict[str, int | None] = field(default_factory=dict)
 
 
-@dataclass
+# one look's statistics, an entry per outcome of ids (those seen by that look); cv is the
+# look's uncalibrated cv and signals a bool array with a row per mode
+LookColumns = namedtuple("LookColumns", "ids beta_hat se llr p_uncalibrated p_calibrated cv "
+                                        "cv_calibrated error_model signals")
+
+
+@dataclass(eq=False)  # compared by identity: the generated == cannot compare arrays
 class SurveillanceResult:
-    outcomes: dict[str, OutcomeResult]
+    """A surveillance run as columns over ids, the sorted ids of every outcome seen.
+
+    first_look[0] is the first look at which each outcome was informative and first_look[1 + k]
+    the first at which modes[k] signaled, 0 for never. looks holds each look's LookColumns;
+    `outcomes` builds per-outcome records from them when first read.
+    """
+
     modes: tuple[str, ...]
     alpha: float
+    ids: list[str]
+    is_control: np.ndarray
+    first_look: np.ndarray
+    looks: list[LookColumns]
     fallback_looks: list[int] = field(default_factory=list)
+
+    def signaled(self, selected: np.ndarray) -> tuple[int, list[int]]:
+        """The selected outcomes ever informative: their number, and per mode how many signaled."""
+        first = self.first_look[:, selected & (self.first_look[0] > 0)]
+        return first.shape[1], (first[1:] > 0).sum(axis=1).tolist()
+
+    @cached_property
+    def outcomes(self) -> dict[str, OutcomeResult]:
+        """Each outcome's records, one per look, blank for the looks before it was seen."""
+        modes, records = self.modes, {oid: [] for oid in self.ids}
+        for t, c in enumerate(self.looks, start=1):
+            for oid in records.keys() - c.ids:
+                records[oid].append(LookRecord(t, False, signals=dict.fromkeys(modes, False)))
+            for oid, b, *values, signals in zip(
+                c.ids, c.beta_hat, c.se, c.llr.tolist(), c.p_uncalibrated, c.p_calibrated,
+                [c.cv] * len(c.ids), c.cv_calibrated, c.error_model, c.signals.T.tolist(),
+            ):
+                records[oid].append(
+                    LookRecord(t, b is not None, b, *values, dict(zip(modes, signals))))
+        firsts = ([k or None for k in row] for row in self.first_look[1:].T.tolist())
+        return {oid: OutcomeResult(oid, control, records[oid], dict(zip(modes, first)))
+                for oid, control, first in zip(self.ids, self.is_control.tolist(), firsts)}
 
 
 def _check_nondecreasing(previous: CountData | None, current: CountData, outcome_id: str) -> None:
@@ -153,21 +194,18 @@ def run_surveillance(
             cal_cv_cache[key] = compute_calibrated_cv(schedule, model, NO_REPLICATES).cv
         return cal_cv_cache[key]
 
-    outcomes: dict[str, OutcomeResult] = {}
     current_counts: dict[str, CountData] = {}
     ids: list[str] = []  # every outcome seen so far, sorted: the rows of each look's columns
-    first = np.zeros((len(modes), 0), dtype=int)  # first-signal look per mode and row, 0 = none
-    last_full_model: ErrorModel | None = None
+    first = np.zeros((1 + len(modes), 0), dtype=int)  # SurveillanceResult.first_look
+    per_look: list[LookColumns] = []
+    full_model: ErrorModel | None = None  # the latest fit
     fallback_looks: list[int] = []
-    next_look = 1
 
-    for obs in looks:
-        if obs.look_index != next_look:
-            raise ProtocolError(f"expected look {next_look}, got {obs.look_index}")
-        if obs.look_index > schedule.n_looks:
-            raise ProtocolError(f"look {obs.look_index} beyond the {schedule.n_looks}-look schedule")
-        next_look += 1
-        t = obs.look_index
+    for t, obs in enumerate(looks, start=1):
+        if obs.look_index != t:
+            raise ProtocolError(f"expected look {t}, got {obs.look_index}")
+        if t > schedule.n_looks:
+            raise ProtocolError(f"look {t} beyond the {schedule.n_looks}-look schedule")
 
         for outcome_id, counts in obs.counts.items():
             _check_nondecreasing(current_counts.get(outcome_id), counts, outcome_id)
@@ -175,49 +213,43 @@ def run_surveillance(
         if len(current_counts) > len(ids):  # new outcomes: widen the columns
             grown = sorted(current_counts)
             row_of = {outcome_id: i for i, outcome_id in enumerate(grown)}
-            widened = np.zeros((len(modes), len(grown)), dtype=int)
+            widened = np.zeros((1 + len(modes), len(grown)), dtype=int)
             widened[:, [row_of[outcome_id] for outcome_id in ids]] = first
             first, ids = widened, grown
-            for outcome_id in (o for o in ids if o not in outcomes):
-                # pad looks from before the outcome was first observed
-                padding = [LookRecord(k, False, signals=dict.fromkeys(modes, False))
-                           for k in range(1, t)]
-                outcomes[outcome_id] = OutcomeResult(outcome_id, outcome_id in control_ids, padding)
         rows = [current_counts[outcome_id] for outcome_id in ids]
 
-        estimates: dict[str, tuple[float, float]] = {}
-        for outcome_id, counts in zip(ids, rows):
+        # estimates and p-values stay scalar `math`, one outcome at a time: numpy's log and
+        # erfc differ from math's in the last bit on some inputs, and outputs print in full
+        n = len(ids)
+        beta_hat, se, p_unc, p_cal = ([None] * n for _ in range(4))
+        for i, counts in enumerate(rows):
             try:
-                estimates[outcome_id] = mle_and_se(counts)
+                beta_hat[i], se[i] = b, s = mle_and_se(counts)
             except UninformativeProfileError:
-                pass
+                continue
+            p_unc[i] = uncalibrated_p(b, s)
 
-        full_model: ErrorModel | None = None
         control_models: dict[str, ErrorModel] = {}
         if calibrate:
-            informative_controls = sorted(c for c in control_ids if c in estimates)
+            informative_controls = [c for c, b in zip(ids, beta_hat)
+                                    if b is not None and c in control_ids]
             control_profiles = [current_counts[c] for c in informative_controls]
-            if len(control_profiles) >= 2:
-                try:
-                    full_model = fit_error_model(control_profiles)
-                except FitError:
-                    full_model = None
-            if full_model is None:
-                if last_full_model is None:
+            try:
+                fitted = fit_error_model(control_profiles) if len(control_profiles) >= 2 else None
+            except FitError:
+                fitted = None
+            if fitted is None:
+                if full_model is None:
                     raise FitError(f"no systematic-error model available at look {t}")
-                full_model = last_full_model
                 fallback_looks.append(t)
             else:
-                last_full_model = full_model
+                full_model = fitted
                 if leave_one_out and len(control_profiles) >= 3:
                     loo = leave_one_out_models(control_profiles)
-                    control_models = {
-                        cid: (m if m is not None else full_model)
-                        for cid, m in zip(informative_controls, loo)
-                    }
+                    control_models = {cid: full_model if m is None else m
+                                      for cid, m in zip(informative_controls, loo)}
 
         # score the look as columns over `ids`, with one LLR call per count kind
-        n = len(ids)
         llr = np.zeros(n)
         poisson = [(i, c.observed, c.expected)
                    for i, c in enumerate(rows) if isinstance(c, PoissonCounts)]
@@ -228,56 +260,37 @@ def run_surveillance(
                 kind_rows, *args = zip(*columns)
                 llr[list(kind_rows)] = count_llr(*args)
         models = [control_models.get(outcome_id, full_model) for outcome_id in ids]
-        # estimates and p-values stay scalar `math`, one outcome at a time: numpy's log and
-        # erfc differ from math's in the last bit on some inputs, and outputs print in full
-        beta_hat, se, p_unc, p_cal = ([None] * n for _ in range(4))
-        for i, outcome_id in enumerate(ids):
-            if outcome_id in estimates:
-                beta_hat[i], se[i] = b, s = estimates[outcome_id]
-                p_unc[i] = uncalibrated_p(b, s)
-                if calibrate:
-                    p_cal[i] = calibrated_p(b, s, models[i])
+        if calibrate:
+            p_cal = [None if b is None else calibrated_p(b, s, model)
+                     for b, s, model in zip(beta_hat, se, models)]
         cv_cal = [cal_cv(m) for m in models] if "cal_maxsprt" in modes else [None] * n
 
-        fired = np.empty((len(modes), n), dtype=bool)
+        fired = np.empty((1 + len(modes), n), dtype=bool)
+        fired[0] = [b is not None for b in beta_hat]
         for k, mode in enumerate(modes):
             if mode == "uncal_maxsprt":
-                fired[k] = llr > uncal_cv
+                fired[1 + k] = llr > uncal_cv
             elif mode == "cal_maxsprt":
-                fired[k] = llr > np.array(cv_cal)
+                fired[1 + k] = llr > np.array(cv_cal)
             else:
                 p = p_unc if mode == "uncal_p" else p_cal
-                fired[k] = [v is not None and v < schedule.alpha for v in p]
+                fired[1 + k] = [v is not None and v < schedule.alpha for v in p]
         first[fired & (first == 0)] = t
+        per_look.append(LookColumns(ids, beta_hat, se, llr, p_unc, p_cal, uncal_cv, cv_cal, models,
+                                    fired[1:]))
 
-        for i, (outcome_id, llr_i, signals) in enumerate(zip(ids, llr.tolist(), fired.T.tolist())):
-            outcomes[outcome_id].looks.append(LookRecord(
-                look=t, informative=outcome_id in estimates, beta_hat=beta_hat[i], se=se[i],
-                llr=llr_i, p_uncalibrated=p_unc[i], p_calibrated=p_cal[i], cv=uncal_cv,
-                cv_calibrated=cv_cal[i], error_model=models[i], signals=dict(zip(modes, signals)),
-            ))
-
-    for outcome_id, first_looks in zip(ids, first.T.tolist()):
-        outcomes[outcome_id].first_signal_look = {m: k or None for m, k in zip(modes, first_looks)}
-    return SurveillanceResult(
-        outcomes=outcomes, modes=modes, alpha=schedule.alpha, fallback_looks=fallback_looks
-    )
+    is_control = np.array([outcome_id in control_ids for outcome_id in ids], dtype=bool)
+    return SurveillanceResult(modes, schedule.alpha, ids, is_control, first, per_look,
+                              fallback_looks)
 
 
 def type1_report(result: SurveillanceResult) -> dict[str, float]:
     """Fraction of negative controls that ever signaled, per analysis mode.
 
     Controls that never produced an informative look are excluded from the
-    denominator.
+    denominator. Read from result.first_look; no per-outcome record is built.
     """
-    controls = [
-        o
-        for o in result.outcomes.values()
-        if o.is_negative_control and any(r.informative for r in o.looks)
-    ]
-    if not controls:
+    n, signaled = result.signaled(result.is_control)
+    if not n:
         raise ValueError("no informative negative controls in the results")
-    return {
-        mode: sum(1 for o in controls if o.first_signal_look.get(mode) is not None) / len(controls)
-        for mode in result.modes
-    }
+    return {mode: count / n for mode, count in zip(result.modes, signaled)}

@@ -1,13 +1,18 @@
 import concurrent.futures
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqcalib
 from seqcalib import cli, fileio
 from seqcalib.cli import main
-from seqcalib.likelihood import NormalApprox
+from seqcalib.likelihood import GridProfile, NormalApprox, PoissonCounts, profile_from_counts
 from seqcalib.maxsprt import LookSchedule
 from seqcalib.simharness import ErrorRateReport, ErrorRateRow
 
@@ -139,6 +144,46 @@ class TestFitNull:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["fit-null", str(tmp_path / "absent.csv")]) == 2
+
+
+def fit_null_in_a_subprocess(cwd, grid_file, out, stdin=None):
+    """`python -m seqcalib.cli fit-null estimates.csv` in a fresh interpreter; stdin is a pipe."""
+    source = str(Path(seqcalib.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "seqcalib.cli", "fit-null", "estimates.csv", "--grid-file",
+         grid_file, "--out", out],
+        cwd=cwd, input=stdin, capture_output=True, timeout=300, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return (cwd / out).read_bytes()
+
+
+def test_fit_null_reads_plain_decorated_and_piped_grid_files_alike(tmp_path):
+    # numpy's C reader parses grid files: quotechar and an object field in its structured
+    # dtype need numpy 1.23 or later, and it reads the rows of a pipe, which cannot seek
+    profiles = [profile_from_counts(PoissonCounts(7 * k % 23 + 1, 8.0), outcome_id=f"nc{k}")
+                for k in range(20)]
+    # 5,000-point outcomes straddle the chunks of lines that the C reader parses at a time
+    x = np.linspace(-4.0, 4.0, 5000)
+    profiles += [GridProfile(x, k * x - 8.0 * np.exp(x), outcome_id=f"dense{k}")
+                 for k in range(1, 6)]
+    header = "# seqcalib grid-profiles v1\noutcome_id,log_rr_grid_point,log_likelihood\n"
+    plain, decorated = [header], [header.replace("\n", "\r\n")]
+    for p in profiles:
+        decorated.append(f"\r\n  # outcome {p.outcome_id}\r\n   \r\n")
+        for x, ll in zip(p.grid_points.tolist(), p.log_likelihoods.tolist()):
+            plain.append(f"{p.outcome_id},{x!r},{ll!r}\n")
+            decorated.append(f'"{p.outcome_id}",{x!r},{ll!r}\r\n')
+    estimates = "# seqcalib estimates v1\noutcome_id,log_rr,se_log_rr\n"
+    (tmp_path / "estimates.csv").write_text(estimates, encoding="utf-8")
+    (tmp_path / "grid-plain.csv").write_text("".join(plain), encoding="utf-8")
+    decorated = "".join(decorated).encode()
+    (tmp_path / "grid-decorated.csv").write_bytes(decorated)
+    model = fit_null_in_a_subprocess(tmp_path, "grid-plain.csv", "model-plain.csv")
+    assert model.startswith(b"# seqcalib error-model v1\n")
+    assert fit_null_in_a_subprocess(tmp_path, "grid-decorated.csv", "model-decorated.csv") == model
+    assert fit_null_in_a_subprocess(tmp_path, "/dev/stdin", "model-piped.csv", decorated) == model
 
 
 class TestComputeCv:

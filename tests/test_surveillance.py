@@ -1,9 +1,11 @@
 import copy
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import seqcalib.simharness as simharness
 import seqcalib.surveillance as surveillance_module
 from seqcalib.calibration import calibrated_p, uncalibrated_p
 from seqcalib.errormodel import ErrorModel, FitError
@@ -22,7 +24,6 @@ from seqcalib.surveillance import (
     LookRecord,
     OutcomeResult,
     ProtocolError,
-    SurveillanceResult,
     run_surveillance,
     type1_report,
 )
@@ -164,7 +165,9 @@ def reference_surveillance(schedule, looks, negative_control_ids, modes, *, leav
                     signals=signals,
                 )
             )
-    return SurveillanceResult(outcomes, tuple(modes), schedule.alpha, fallback_looks)
+    return SimpleNamespace(
+        outcomes=outcomes, modes=tuple(modes), alpha=schedule.alpha, fallback_looks=fallback_looks
+    )
 
 
 def mixed_looks():
@@ -198,6 +201,19 @@ def mixed_looks():
     per_look[2]["gap"] = BinomialCounts(11, 20, 0.3)
     controls = [k for k in per_look[0] if k.startswith("nc-")]
     return [LookObservation(t + 1, per_look[t]) for t in range(3)], controls
+
+
+def fit_failing_at_look(looks, controls, look):
+    """fit_error_model, raising FitError on the controls' full set at the given look."""
+    real_fit = surveillance_module.fit_error_model
+    events = sum(getattr(looks[look - 1].counts[c], "observed", 0) for c in controls)
+
+    def fit(profiles):
+        if sum(getattr(p, "observed", 0) for p in profiles) == events:
+            raise FitError("no finite optimum")
+        return real_fit(profiles)
+
+    return fit
 
 
 def assert_matches_reference(schedule, looks, controls, modes, leave_one_out):
@@ -235,19 +251,8 @@ class TestMatchesPerOutcomeReference:
     @pytest.mark.parametrize("leave_one_out", [True, False])
     def test_fallback_look(self, monkeypatch, leave_one_out):
         looks, controls = mixed_looks()
-        real_fit = surveillance_module.fit_error_model
-
-        def poisson_events(profiles):
-            return sum(getattr(p, "observed", 0) for p in profiles)
-
-        look_2_events = poisson_events(looks[1].counts[c] for c in controls)
-
-        def fit_failing_at_look_2(profiles):
-            if poisson_events(profiles) == look_2_events:
-                raise FitError("no finite optimum")
-            return real_fit(profiles)
-
-        monkeypatch.setattr(surveillance_module, "fit_error_model", fit_failing_at_look_2)
+        monkeypatch.setattr(surveillance_module, "fit_error_model",
+                            fit_failing_at_look(looks, controls, 2))
         schedule = poisson_schedule(n_looks=3, e=6.0)
         result = assert_matches_reference(schedule, looks, controls, ALL_MODES, leave_one_out)
         assert result.fallback_looks == [2]
@@ -490,14 +495,15 @@ class TestType1Report:
         result = run_surveillance(
             poisson_schedule(n_looks=2), poisson_looks(series), list(series)
         )
-        # rewrite the signal bookkeeping to a known configuration
-        ids = sorted(series)
-        for oid in ids:
-            result.outcomes[oid].first_signal_look = {m: None for m in ALL_MODES}
-        result.outcomes[ids[0]].first_signal_look["uncal_p"] = 2
+        # rewrite the first-look matrix's signal rows to a known configuration
+        result.first_look[1:] = 0
+        result.first_look[1 + ALL_MODES.index("uncal_p"), 0] = 2
         report = type1_report(result)
         assert report["uncal_p"] == pytest.approx(1 / 3)
         assert report["cal_maxsprt"] == 0.0
+        # a control never informative leaves the denominator
+        result.first_look[0, 1] = 0
+        assert type1_report(result)["uncal_p"] == 0.5
 
     def test_requires_informative_controls(self):
         series = {"a": [5, 10]}
@@ -509,3 +515,80 @@ class TestType1Report:
         )
         with pytest.raises(ValueError):
             type1_report(result)
+
+
+def recount(result, selected):
+    """Per mode, the signaled share of the selected outcomes ever informative, from the records."""
+    eligible = [o for oid, o in result.outcomes.items()
+                if oid in selected and any(r.informative for r in o.looks)]
+    return {mode: sum(o.first_signal_look[mode] is not None for o in eligible) / len(eligible)
+            for mode in result.modes}
+
+
+def renamed_mixed_looks():
+    """mixed_looks with the ids run_scenario gives a 14-control, 7-outcome rr-2 scenario."""
+    looks, controls = mixed_looks()
+    others = sorted(set(looks[2].counts) - set(controls))
+    new_id = {oid: f"rr1-{k:02d}" for k, oid in enumerate(sorted(controls))}
+    new_id.update({oid: f"rr2-{k:02d}" for k, oid in enumerate(others)})
+    looks = [LookObservation(o.look_index, {new_id[k]: c for k, c in o.counts.items()})
+             for o in looks]
+    return looks, sorted(new_id[c] for c in controls), new_id
+
+
+class TestColumns:
+    """type1_report and run_scenario read the first-look matrix; records are built on request."""
+
+    def test_readers_equal_a_recount_from_the_records(self, monkeypatch):
+        looks, controls, new_id = renamed_mixed_looks()
+        schedule = poisson_schedule(n_looks=3, e=6.0)
+        monkeypatch.setattr(surveillance_module, "fit_error_model",
+                            fit_failing_at_look(looks, controls, 2))
+        results = []
+
+        def mixed_surveillance(_schedule, _looks, control_ids, modes, *, leave_one_out):
+            assert sorted(control_ids) == controls
+            results.append(run_surveillance(schedule, looks, controls, modes,
+                                            leave_one_out=leave_one_out))
+            return results[-1]
+
+        monkeypatch.setattr(simharness, "run_surveillance", mixed_surveillance)
+        scenario = simharness.SimulationScenario(
+            "mixed", "historical", 100_000, effect_sizes=((1.0, 14), (2.0, 7)), looks=3, repeats=1
+        )
+        report = simharness.run_scenario(scenario)
+        (result,) = results
+        assert result.fallback_looks == [2]
+        # the fixture has an outcome first seen at look 2 and two never informative
+        assert result.outcomes[new_id["late"]].looks[0].llr is None
+        assert not any(r.informative for r in result.outcomes[new_id["none"]].looks)
+        signaled = recount(result, set(new_id.values()) - set(controls))
+        expected = {("type1", 1.0): recount(result, controls),
+                    ("type2", 2.0): {mode: 1.0 - v for mode, v in signaled.items()}}
+        assert type1_report(result) == expected[("type1", 1.0)]
+        assert len(report.rows) == 2 * len(ALL_MODES)
+        for row in report.rows:
+            assert row.value == expected[(row.rate_type, row.effect_size)][row.mode]
+
+    def test_readers_build_no_records(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-outcome record was built")
+
+        monkeypatch.setattr(surveillance_module, "LookRecord", refuse)
+        monkeypatch.setattr(surveillance_module, "OutcomeResult", refuse)
+        looks, controls = mixed_looks()
+        result = run_surveillance(poisson_schedule(n_looks=3, e=6.0), looks, controls)
+        assert set(type1_report(result)) == set(ALL_MODES)
+        scenario = simharness.SimulationScenario(
+            "tiny", "historical", 100_000, effect_sizes=((1.0, 10), (2.0, 5)), looks=3, repeats=2
+        )
+        assert len(simharness.run_scenario(scenario).rows) == 2 * 2 * len(ALL_MODES)
+        with pytest.raises(AssertionError, match="record was built"):
+            result.outcomes
+
+    def test_records_are_built_once(self):
+        looks, controls = mixed_looks()
+        result = run_surveillance(poisson_schedule(n_looks=3, e=6.0), looks, controls)
+        assert result.outcomes is result.outcomes
+        assert list(result.outcomes) == result.ids
+        assert all(len(o.looks) == 3 for o in result.outcomes.values())
