@@ -25,7 +25,7 @@ from .maxsprt import (
     compute_cv,
 )
 from .simharness import DESK_REPEATS, FULL_REPEATS, paper_scenarios, run_scenario
-from .surveillance import ALL_MODES, LookObservation, ProtocolError, run_surveillance, type1_report
+from .surveillance import LookObservation, ProtocolError, run_surveillance, type1_report
 
 __all__ = ["main"]
 
@@ -123,11 +123,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: negative controls absent from looks file: {missing}", file=sys.stderr)
         return 2
 
-    looks = _build_looks(schedule, look_rows)
-    modes = tuple(args.modes.split(",")) if args.modes else ALL_MODES
-    result = run_surveillance(
-        schedule, looks, control_ids, modes, leave_one_out=not args.no_leave_one_out
-    )
+    result = run_surveillance(schedule, _build_looks(schedule, look_rows), control_ids,
+                              leave_one_out=not args.no_leave_one_out)
     provenance = {"seed": args.seed}
     with _open_out(args.out) as out:
         fileio.write_results_table(out, result, provenance=provenance)
@@ -195,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("looks", help="looks file (outcome_id,look,cumulative_observed[,cumulative_total])")
     p.add_argument("controls", help="negative-control ids (outcome_id)")
     p.add_argument("--seed", type=int, default=42, help=_SEED_ECHOED)
-    p.add_argument("--modes", help=f"comma-separated subset of {','.join(ALL_MODES)}")
     p.add_argument(
         "--no-leave-one-out",
         action="store_true",

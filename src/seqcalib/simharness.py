@@ -258,7 +258,7 @@ def run_scenario(
             for look, counts in zip(looks, generate_outcome_data(scenario, rr, outcome_index, rep)):
                 if counts is not None:
                     look.counts[outcome_id] = counts
-        result = run_surveillance(schedule, looks, control_ids, ALL_MODES, leave_one_out=False)
+        result = run_surveillance(schedule, looks, control_ids, leave_one_out=False)
 
         type1 = type1_report(result)
         report.rows += [ErrorRateRow(rep, mode, 1.0, "type1", type1[mode]) for mode in ALL_MODES]

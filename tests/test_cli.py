@@ -17,6 +17,7 @@ from seqcalib.maxsprt import LookSchedule
 from seqcalib.simharness import ErrorRateReport, ErrorRateRow
 
 from test_errormodel import grid_search_oracle, synthetic_controls
+from test_imports import run_fresh
 
 
 def write_estimates_file(path, profiles):
@@ -233,6 +234,14 @@ class TestComputeCv:
         assert "seed=9" in out
 
 
+# informative at both looks of a binomial schedule at 0.5, so that a run fits at look 1
+TWO_BINOMIAL_CONTROLS = [
+    {"outcome_id": f"nc-{i}", "look": t, "cumulative_observed": 4 * t + i, "cumulative_total": 10 * t}
+    for i in range(2)
+    for t in (1, 2)
+]
+
+
 class TestRun:
     def _write_inputs(self, tmp_path, series, e=5.0, controls=None):
         n_looks = len(next(iter(series.values())))
@@ -349,13 +358,14 @@ class TestRun:
         write_looks_file(
             looks,
             [
+                *TWO_BINOMIAL_CONTROLS,
                 {"outcome_id": "a", "look": 1, "cumulative_observed": 5, "cumulative_total": 10},
                 {"outcome_id": "a", "look": 2, "cumulative_observed": 8, "cumulative_total": 11},
             ],
         )
         ctrl = tmp_path / "controls.csv"
-        write_controls_file(ctrl, ["a"])
-        assert main(["run", str(schedule), str(looks), str(ctrl), "--modes", "uncal_p"]) == 2
+        write_controls_file(ctrl, ["nc-0", "nc-1"])
+        assert main(["run", str(schedule), str(looks), str(ctrl)]) == 2
         assert "decreased" in capsys.readouterr().err
 
     def test_exposed_above_total_names_outcome_and_look(self, tmp_path, capsys):
@@ -368,13 +378,14 @@ class TestRun:
         write_looks_file(
             looks,
             [
+                *TWO_BINOMIAL_CONTROLS,
                 {"outcome_id": "a", "look": 1, "cumulative_observed": 5, "cumulative_total": 10},
                 {"outcome_id": "a", "look": 2, "cumulative_observed": 21, "cumulative_total": 20},
             ],
         )
         ctrl = tmp_path / "controls.csv"
-        write_controls_file(ctrl, ["a"])
-        assert main(["run", str(schedule), str(looks), str(ctrl), "--modes", "uncal_p"]) == 2
+        write_controls_file(ctrl, ["nc-0", "nc-1"])
+        assert main(["run", str(schedule), str(looks), str(ctrl)]) == 2
         assert "outcome a look 2" in capsys.readouterr().err
 
     def test_binomial_requires_totals(self, tmp_path):
@@ -438,11 +449,14 @@ class TestSimulate:
         assert a.read_text() == b.read_text()
 
     def test_parallel_workers_match_serial(self, tmp_path):
-        args = ["simulate", "--repeats", "1"]
+        args = ["simulate", "--repeats", "1", "--seed", "3"]
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        assert main(args + ["--workers", "1", "--out", str(serial)]) == 0
-        assert main(args + ["--workers", "4", "--out", str(parallel)]) == 0
-        assert parallel.read_text() == serial.read_text()
+        # one worker, in a fresh interpreter in which every scipy import raises ImportError
+        code = ('import sys; sys.modules["scipy"] = None; from seqcalib.cli import main; '
+                "sys.exit(main(sys.argv[1:]))")
+        run_fresh(code, *args, "--workers", "1", "--out", str(serial))
+        assert main(args + ["--workers", "2", "--out", str(parallel)]) == 0
+        assert parallel.read_bytes() == serial.read_bytes()
         reports = read_output(parallel, fileio.read_simulation_rows)
         assert len(reports) == 12
 

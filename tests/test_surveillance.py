@@ -55,7 +55,7 @@ def null_control_series(n_controls, n_looks, e=5.0, seed=0):
     return out
 
 
-def reference_surveillance(schedule, looks, negative_control_ids, modes, *, leave_one_out):
+def reference_surveillance(schedule, looks, negative_control_ids, *, leave_one_out):
     """The per-outcome scoring loop that the columnar one replaced, kept as an exact oracle.
 
     Each outcome-look is scored on its own: a scalar LLR call, then scalar
@@ -64,8 +64,7 @@ def reference_surveillance(schedule, looks, negative_control_ids, modes, *, leav
     test that replaces the fit replaces it here too.
     """
     control_ids = frozenset(negative_control_ids)
-    calibrate = any(m in modes for m in ("cal_p", "cal_maxsprt"))
-    uncal_cv = compute_cv(schedule, NO_REPLICATES).cv if "uncal_maxsprt" in modes else None
+    uncal_cv = compute_cv(schedule, NO_REPLICATES).cv
     cal_cv_cache = {}
 
     def cal_cv(model):
@@ -92,25 +91,24 @@ def reference_surveillance(schedule, looks, negative_control_ids, modes, *, leav
                 pass
 
         full_model, control_models = None, {}
-        if calibrate:
-            informative_controls = sorted(c for c in control_ids if c in estimates)
-            control_profiles = [current_counts[c] for c in informative_controls]
-            if len(control_profiles) >= 2:
-                try:
-                    full_model = surveillance_module.fit_error_model(control_profiles)
-                except FitError:
-                    full_model = None
-            if full_model is None:
-                full_model = last_full_model
-                fallback_looks.append(t)
-            else:
-                last_full_model = full_model
-                if leave_one_out and len(control_profiles) >= 3:
-                    loo = surveillance_module.leave_one_out_models(control_profiles)
-                    control_models = {
-                        cid: (m if m is not None else full_model)
-                        for cid, m in zip(informative_controls, loo)
-                    }
+        informative_controls = sorted(c for c in control_ids if c in estimates)
+        control_profiles = [current_counts[c] for c in informative_controls]
+        if len(control_profiles) >= 2:
+            try:
+                full_model = surveillance_module.fit_error_model(control_profiles)
+            except FitError:
+                full_model = None
+        if full_model is None:
+            full_model = last_full_model
+            fallback_looks.append(t)
+        else:
+            last_full_model = full_model
+            if leave_one_out and len(control_profiles) >= 3:
+                loo = surveillance_module.leave_one_out_models(control_profiles)
+                control_models = {
+                    cid: (m if m is not None else full_model)
+                    for cid, m in zip(informative_controls, loo)
+                }
 
         for outcome_id in sorted(current_counts):
             result = outcomes.get(outcome_id)
@@ -118,36 +116,31 @@ def reference_surveillance(schedule, looks, negative_control_ids, modes, *, leav
                 result = OutcomeResult(
                     outcome_id,
                     outcome_id in control_ids,
-                    first_signal_look={m: None for m in modes},
+                    first_signal_look={m: None for m in ALL_MODES},
                 )
                 result.looks = [
-                    LookRecord(look=k, informative=False, signals={m: False for m in modes})
+                    LookRecord(look=k, informative=False, signals={m: False for m in ALL_MODES})
                     for k in range(1, t)
                 ]
                 outcomes[outcome_id] = result
 
             llr = count_llr(current_counts[outcome_id])
             informative = outcome_id in estimates
-            model = control_models.get(outcome_id, full_model) if calibrate else None
+            model = control_models.get(outcome_id, full_model)
             beta_hat = se = p_unc = p_cal = None
             if informative:
                 beta_hat, se = estimates[outcome_id]
                 p_unc = uncalibrated_p(beta_hat, se)
-                if calibrate:
-                    p_cal = calibrated_p(beta_hat, se, model)
-            cv_cal = cal_cv(model) if "cal_maxsprt" in modes else None
+                p_cal = calibrated_p(beta_hat, se, model)
+            cv_cal = cal_cv(model)
 
-            signals = {}
-            for mode in modes:
-                if mode == "uncal_maxsprt":
-                    fired = llr > uncal_cv
-                elif mode == "cal_maxsprt":
-                    fired = llr > cv_cal
-                elif mode == "uncal_p":
-                    fired = p_unc is not None and p_unc < schedule.alpha
-                else:
-                    fired = p_cal is not None and p_cal < schedule.alpha
-                signals[mode] = fired
+            signals = {
+                "uncal_p": p_unc is not None and p_unc < schedule.alpha,
+                "uncal_maxsprt": llr > uncal_cv,
+                "cal_p": p_cal is not None and p_cal < schedule.alpha,
+                "cal_maxsprt": llr > cv_cal,
+            }
+            for mode, fired in signals.items():
                 if fired and result.first_signal_look[mode] is None:
                     result.first_signal_look[mode] = t
             result.looks.append(
@@ -165,97 +158,160 @@ def reference_surveillance(schedule, looks, negative_control_ids, modes, *, leav
                     signals=signals,
                 )
             )
-    return SimpleNamespace(
-        outcomes=outcomes, modes=tuple(modes), alpha=schedule.alpha, fallback_looks=fallback_looks
-    )
+    return SimpleNamespace(outcomes=outcomes, alpha=schedule.alpha, fallback_looks=fallback_looks)
 
 
-def mixed_looks():
-    """Three looks of Poisson and binomial outcomes side by side, controls of both kinds.
+def poisson_fixture():
+    """A 3-look Poisson schedule, Poisson looks on it, and their eight controls.
 
     "late" is first seen at look 2 and "gap" is absent from look 2; "none"
-    has no events and "all-in" has every case exposed at every look, so
-    neither is ever informative; "rising" stays at zero events until look 3.
+    has no events, so it is never informative; "rising" stays at zero
+    events until look 3.
     """
     rng = np.random.default_rng(17)
     per_look = [{}, {}, {}]
     for i in range(8):
         observed = np.cumsum(rng.poisson(6.0, size=3))
         for t in range(3):
-            per_look[t][f"nc-p{i}"] = PoissonCounts(int(observed[t]), 6.0 * (t + 1))
-    for i in range(6):
-        totals = np.cumsum(rng.poisson(10.0, size=3)) + 2
-        exposed = np.minimum(np.cumsum(rng.binomial(10, 0.3, size=3)) + 1, totals - 1)
-        exposed = np.maximum.accumulate(exposed)
-        for t in range(3):
-            per_look[t][f"nc-b{i}"] = BinomialCounts(int(exposed[t]), int(totals[t]), 0.3)
+            per_look[t][f"nc-{i}"] = PoissonCounts(int(observed[t]), 6.0 * (t + 1))
     for t in range(3):
-        per_look[t]["hot-p"] = PoissonCounts(9 + 12 * t, 6.0 * (t + 1))
-        per_look[t]["hot-b"] = BinomialCounts(6 + 7 * t, 10 + 10 * t, 0.3)
+        per_look[t]["hot"] = PoissonCounts(9 + 12 * t, 6.0 * (t + 1))
         per_look[t]["none"] = PoissonCounts(0, 6.0 * (t + 1))
-        per_look[t]["all-in"] = BinomialCounts(3 + t, 3 + t, 0.3)
         per_look[t]["rising"] = PoissonCounts(0 if t < 2 else 11, 6.0 * (t + 1))
     per_look[1]["late"] = PoissonCounts(14, 12.0)
     per_look[2]["late"] = PoissonCounts(19, 18.0)
+    per_look[0]["gap"] = PoissonCounts(8, 6.0)
+    per_look[2]["gap"] = PoissonCounts(20, 18.0)
+    controls = [k for k in per_look[0] if k.startswith("nc-")]
+    looks = [LookObservation(t + 1, per_look[t]) for t in range(3)]
+    return poisson_schedule(n_looks=3, e=6.0), looks, controls
+
+
+def binomial_fixture():
+    """A 3-look binomial schedule at exposure proportion 0.3, looks on it, and eight controls.
+
+    "late", "gap" and "rising" as in poisson_fixture; "none" has no case
+    exposed and "all-in" every case, so neither is ever informative.
+    """
+    rng = np.random.default_rng(17)
+    per_look = [{}, {}, {}]
+    for i in range(8):
+        exposed = np.cumsum(rng.poisson(3.0, size=3)) + 1
+        unexposed = np.cumsum(rng.poisson(7.0, size=3)) + 1
+        for t in range(3):
+            total = int(exposed[t] + unexposed[t])
+            per_look[t][f"nc-{i}"] = BinomialCounts(int(exposed[t]), total, 0.3)
+    for t in range(3):
+        per_look[t]["hot"] = BinomialCounts(6 + 7 * t, 10 + 10 * t, 0.3)
+        per_look[t]["none"] = BinomialCounts(0, 4 + t, 0.3)
+        per_look[t]["all-in"] = BinomialCounts(3 + t, 3 + t, 0.3)
+        per_look[t]["rising"] = BinomialCounts(0 if t < 2 else 9, (8, 11, 20)[t], 0.3)
+    per_look[1]["late"] = BinomialCounts(8, 15, 0.3)
+    per_look[2]["late"] = BinomialCounts(12, 24, 0.3)
     per_look[0]["gap"] = BinomialCounts(4, 9, 0.3)
     per_look[2]["gap"] = BinomialCounts(11, 20, 0.3)
     controls = [k for k in per_look[0] if k.startswith("nc-")]
-    return [LookObservation(t + 1, per_look[t]) for t in range(3)], controls
+    looks = [LookObservation(t + 1, per_look[t]) for t in range(3)]
+    schedule = LookSchedule((10.0,) * 3, alpha=0.05, model="binomial", exposure_proportion=0.3)
+    return schedule, looks, controls
+
+
+FIXTURES = pytest.mark.parametrize(
+    "fixture", [poisson_fixture, binomial_fixture], ids=["poisson", "binomial"]
+)
 
 
 def fit_failing_at_look(looks, controls, look):
     """fit_error_model, raising FitError on the controls' full set at the given look."""
     real_fit = surveillance_module.fit_error_model
-    events = sum(getattr(looks[look - 1].counts[c], "observed", 0) for c in controls)
+    full_set = [looks[look - 1].counts[c] for c in sorted(controls)]
 
     def fit(profiles):
-        if sum(getattr(p, "observed", 0) for p in profiles) == events:
+        if list(profiles) == full_set:
             raise FitError("no finite optimum")
         return real_fit(profiles)
 
     return fit
 
 
-def assert_matches_reference(schedule, looks, controls, modes, leave_one_out):
-    result = run_surveillance(schedule, looks, controls, modes, leave_one_out=leave_one_out)
-    reference = reference_surveillance(
-        schedule, looks, controls, modes, leave_one_out=leave_one_out
-    )
+def assert_matches_reference(schedule, looks, controls, leave_one_out):
+    result = run_surveillance(schedule, looks, controls, leave_one_out=leave_one_out)
+    reference = reference_surveillance(schedule, looks, controls, leave_one_out=leave_one_out)
     assert result.outcomes == reference.outcomes
     assert result.fallback_looks == reference.fallback_looks
-    assert result.modes == reference.modes and result.alpha == reference.alpha
+    assert result.alpha == reference.alpha
     for oid, outcome in result.outcomes.items():
         for rec, ref in zip(outcome.looks, reference.outcomes[oid].looks):
             # the same Python types, so every writer formats them the same way
             assert [type(v) for v in vars(rec).values()] == [type(v) for v in vars(ref).values()]
-            assert [type(v) for v in rec.signals.values()] == [bool] * len(modes)
+            assert [type(v) for v in rec.signals.values()] == [bool] * len(ALL_MODES)
     return result
 
 
 class TestMatchesPerOutcomeReference:
     @pytest.mark.parametrize("leave_one_out", [True, False])
-    @pytest.mark.parametrize("modes", [ALL_MODES, ("uncal_maxsprt",), ("cal_p", "uncal_p")])
-    def test_mixed_kinds_late_absent_and_uninformative(self, modes, leave_one_out):
-        looks, controls = mixed_looks()
-        schedule = poisson_schedule(n_looks=3, e=6.0)
-        result = assert_matches_reference(schedule, looks, controls, modes, leave_one_out)
-        assert result.outcomes["late"].looks[0].llr is None
-        assert not any(r.informative for r in result.outcomes["none"].looks)
-        assert not any(r.informative for r in result.outcomes["all-in"].looks)
+    @FIXTURES
+    def test_late_absent_and_uninformative(self, fixture, leave_one_out):
+        schedule, looks, controls = fixture()
+        result = assert_matches_reference(schedule, looks, controls, leave_one_out)
+        outcomes = result.outcomes
+        assert outcomes["late"].looks[0].llr is None
+        assert outcomes["gap"].looks[1].llr == outcomes["gap"].looks[0].llr
+        assert [r.informative for r in outcomes["rising"].looks] == [False, False, True]
+        never = [oid for oid, o in outcomes.items() if not any(r.informative for r in o.looks)]
+        assert never == (["none"] if schedule.model == "poisson" else ["all-in", "none"])
         # the fixture reaches the signal bookkeeping in every mode
-        for mode in modes:
-            assert result.outcomes["hot-p"].first_signal_look[mode] is not None
-            assert result.outcomes["hot-b"].first_signal_look[mode] is not None
-            assert any(o.first_signal_look[mode] is None for o in result.outcomes.values())
+        for mode in ALL_MODES:
+            assert outcomes["hot"].first_signal_look[mode] is not None
+            assert any(o.first_signal_look[mode] is None for o in outcomes.values())
 
     @pytest.mark.parametrize("leave_one_out", [True, False])
-    def test_fallback_look(self, monkeypatch, leave_one_out):
-        looks, controls = mixed_looks()
+    @FIXTURES
+    def test_fallback_look(self, monkeypatch, fixture, leave_one_out):
+        schedule, looks, controls = fixture()
         monkeypatch.setattr(surveillance_module, "fit_error_model",
                             fit_failing_at_look(looks, controls, 2))
-        schedule = poisson_schedule(n_looks=3, e=6.0)
-        result = assert_matches_reference(schedule, looks, controls, ALL_MODES, leave_one_out)
+        result = assert_matches_reference(schedule, looks, controls, leave_one_out)
         assert result.fallback_looks == [2]
+
+
+class TestCountModel:
+    """Every outcome's counts follow the schedule's count model, binomial ones at its proportion."""
+
+    @pytest.mark.parametrize(
+        "fixture, counts",
+        [
+            (poisson_fixture, BinomialCounts(4, 9, 0.3)),
+            (binomial_fixture, PoissonCounts(14, 12.0)),
+            (binomial_fixture, BinomialCounts(4, 9, 0.5)),
+        ],
+        ids=["binomial-on-poisson", "poisson-on-binomial", "binomial-at-another-proportion"],
+    )
+    def test_other_counts_raise_naming_outcome_and_look(self, fixture, counts):
+        schedule, looks, controls = fixture()
+        looks[1].counts["odd"] = counts
+        with pytest.raises(ValueError, match=r"^outcome odd look 2: "):
+            run_surveillance(schedule, looks, controls)
+
+    @FIXTURES
+    def test_one_llr_call_per_look(self, monkeypatch, fixture):
+        schedule, looks, controls = fixture()
+        calls = {"poisson_llr": 0, "binomial_llr": 0}
+
+        def counted(name):
+            real = getattr(surveillance_module, name)
+
+            def llr(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return llr
+
+        for name in calls:
+            monkeypatch.setattr(surveillance_module, name, counted(name))
+        run_surveillance(schedule, looks, controls)
+        other = "binomial_llr" if schedule.model == "poisson" else "poisson_llr"
+        assert calls == {f"{schedule.model}_llr": len(looks), other: 0}
 
 
 class TestRunSurveillance:
@@ -288,7 +344,7 @@ class TestRunSurveillance:
         }
         schedule = poisson_schedule(n_looks=n_looks, e=e)
         looks = poisson_looks(series, e=e)
-        result = run_surveillance(schedule, looks, [], modes=("uncal_p", "uncal_maxsprt"))
+        result = run_surveillance(schedule, looks, list(series)[:20], leave_one_out=False)
         fraction_p = np.mean(
             [result.outcomes[o].first_signal_look["uncal_p"] is not None for o in series]
         )
@@ -364,23 +420,6 @@ class TestRunSurveillance:
         series = {"a": [5, 10]}
         with pytest.raises(ValueError):
             run_surveillance(poisson_schedule(n_looks=2), poisson_looks(series), [])
-
-    def test_uncalibrated_modes_run_without_controls(self):
-        series = {"a": [5, 10]}
-        result = run_surveillance(
-            poisson_schedule(n_looks=2),
-            poisson_looks(series),
-            [],
-            modes=("uncal_p", "uncal_maxsprt"),
-        )
-        assert set(result.outcomes) == {"a"}
-
-    def test_unknown_mode_rejected(self):
-        series = {"a": [5, 10]}
-        with pytest.raises(ValueError):
-            run_surveillance(
-                poisson_schedule(n_looks=2), poisson_looks(series), [], modes=("bogus",)
-            )
 
     def test_no_error_model_available_at_first_look(self):
         # single informative control cannot support a fit and nothing to fall back on
@@ -458,24 +497,27 @@ class TestRunSurveillance:
 
     def test_decreasing_counts_rejected(self):
         schedule = poisson_schedule(n_looks=2)
+        # two informative controls, so that look 1 fits and look 2 reaches the fault
+        controls = {"nc-0": PoissonCounts(5, 5.0), "nc-1": PoissonCounts(4, 5.0)}
         looks = [
-            LookObservation(1, {"a": PoissonCounts(5, 5.0)}),
+            LookObservation(1, {"a": PoissonCounts(5, 5.0), **controls}),
             LookObservation(2, {"a": PoissonCounts(4, 10.0)}),
         ]
-        with pytest.raises(ValueError):
-            run_surveillance(schedule, looks, [], modes=("uncal_p",))
+        with pytest.raises(ValueError, match="outcome a: cumulative counts decreased"):
+            run_surveillance(schedule, looks, list(controls))
 
     def test_falling_unexposed_count_rejected(self):
         # exposed and total both grow, but the unexposed count falls from 5 to 3
         schedule = LookSchedule(
             (10.0, 10.0), alpha=0.05, model="binomial", exposure_proportion=0.5
         )
+        controls = {"nc-0": BinomialCounts(4, 10, 0.5), "nc-1": BinomialCounts(6, 10, 0.5)}
         looks = [
-            LookObservation(1, {"a": BinomialCounts(5, 10, 0.5)}),
+            LookObservation(1, {"a": BinomialCounts(5, 10, 0.5), **controls}),
             LookObservation(2, {"a": BinomialCounts(8, 11, 0.5)}),
         ]
-        with pytest.raises(ValueError, match="decreased"):
-            run_surveillance(schedule, looks, [], modes=("uncal_p",))
+        with pytest.raises(ValueError, match="outcome a: cumulative counts decreased"):
+            run_surveillance(schedule, looks, list(controls))
 
     def test_estimates_are_exact(self):
         series = {"a": [7, 13, 15], **null_control_series(4, 3, seed=3)}
@@ -506,14 +548,13 @@ class TestType1Report:
         assert type1_report(result)["uncal_p"] == 0.5
 
     def test_requires_informative_controls(self):
-        series = {"a": [5, 10]}
+        series = null_control_series(3, 2, seed=9)
         result = run_surveillance(
-            poisson_schedule(n_looks=2),
-            poisson_looks(series),
-            [],
-            modes=("uncal_p",),
+            poisson_schedule(n_looks=2), poisson_looks(series), list(series)
         )
-        with pytest.raises(ValueError):
+        # a run needs informative controls to fit, so mark them as never informative
+        result.first_look[0] = 0
+        with pytest.raises(ValueError, match="no informative negative controls"):
             type1_report(result)
 
 
@@ -522,44 +563,43 @@ def recount(result, selected):
     eligible = [o for oid, o in result.outcomes.items()
                 if oid in selected and any(r.informative for r in o.looks)]
     return {mode: sum(o.first_signal_look[mode] is not None for o in eligible) / len(eligible)
-            for mode in result.modes}
+            for mode in ALL_MODES}
 
 
-def renamed_mixed_looks():
-    """mixed_looks with the ids run_scenario gives a 14-control, 7-outcome rr-2 scenario."""
-    looks, controls = mixed_looks()
+def renamed_poisson_fixture():
+    """poisson_fixture with the ids run_scenario gives an 8-control, 5-outcome rr-2 scenario."""
+    schedule, looks, controls = poisson_fixture()
     others = sorted(set(looks[2].counts) - set(controls))
     new_id = {oid: f"rr1-{k:02d}" for k, oid in enumerate(sorted(controls))}
     new_id.update({oid: f"rr2-{k:02d}" for k, oid in enumerate(others)})
     looks = [LookObservation(o.look_index, {new_id[k]: c for k, c in o.counts.items()})
              for o in looks]
-    return looks, sorted(new_id[c] for c in controls), new_id
+    return schedule, looks, sorted(new_id[c] for c in controls), new_id
 
 
 class TestColumns:
     """type1_report and run_scenario read the first-look matrix; records are built on request."""
 
     def test_readers_equal_a_recount_from_the_records(self, monkeypatch):
-        looks, controls, new_id = renamed_mixed_looks()
-        schedule = poisson_schedule(n_looks=3, e=6.0)
+        schedule, looks, controls, new_id = renamed_poisson_fixture()
         monkeypatch.setattr(surveillance_module, "fit_error_model",
                             fit_failing_at_look(looks, controls, 2))
         results = []
 
-        def mixed_surveillance(_schedule, _looks, control_ids, modes, *, leave_one_out):
+        def fixture_surveillance(_schedule, _looks, control_ids, *, leave_one_out):
             assert sorted(control_ids) == controls
-            results.append(run_surveillance(schedule, looks, controls, modes,
+            results.append(run_surveillance(schedule, looks, controls,
                                             leave_one_out=leave_one_out))
             return results[-1]
 
-        monkeypatch.setattr(simharness, "run_surveillance", mixed_surveillance)
+        monkeypatch.setattr(simharness, "run_surveillance", fixture_surveillance)
         scenario = simharness.SimulationScenario(
-            "mixed", "historical", 100_000, effect_sizes=((1.0, 14), (2.0, 7)), looks=3, repeats=1
+            "fixture", "historical", 100_000, effect_sizes=((1.0, 8), (2.0, 5)), looks=3, repeats=1
         )
         report = simharness.run_scenario(scenario)
         (result,) = results
         assert result.fallback_looks == [2]
-        # the fixture has an outcome first seen at look 2 and two never informative
+        # the fixture has an outcome first seen at look 2 and one never informative
         assert result.outcomes[new_id["late"]].looks[0].llr is None
         assert not any(r.informative for r in result.outcomes[new_id["none"]].looks)
         signaled = recount(result, set(new_id.values()) - set(controls))
@@ -576,8 +616,8 @@ class TestColumns:
 
         monkeypatch.setattr(surveillance_module, "LookRecord", refuse)
         monkeypatch.setattr(surveillance_module, "OutcomeResult", refuse)
-        looks, controls = mixed_looks()
-        result = run_surveillance(poisson_schedule(n_looks=3, e=6.0), looks, controls)
+        schedule, looks, controls = poisson_fixture()
+        result = run_surveillance(schedule, looks, controls)
         assert set(type1_report(result)) == set(ALL_MODES)
         scenario = simharness.SimulationScenario(
             "tiny", "historical", 100_000, effect_sizes=((1.0, 10), (2.0, 5)), looks=3, repeats=2
@@ -587,8 +627,8 @@ class TestColumns:
             result.outcomes
 
     def test_records_are_built_once(self):
-        looks, controls = mixed_looks()
-        result = run_surveillance(poisson_schedule(n_looks=3, e=6.0), looks, controls)
+        schedule, looks, controls = binomial_fixture()
+        result = run_surveillance(schedule, looks, controls)
         assert result.outcomes is result.outcomes
         assert list(result.outcomes) == result.ids
         assert all(len(o.looks) == 3 for o in result.outcomes.values())
