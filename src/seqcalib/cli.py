@@ -120,11 +120,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     look_ids = {row["outcome_id"] for row in look_rows}
     missing = sorted(set(control_ids) - look_ids)
     if missing:
-        print(f"error: negative controls absent from looks file: {missing}", file=sys.stderr)
-        return 2
+        raise fileio.FileFormatError(f"negative controls absent from looks file: {missing}")
 
-    result = run_surveillance(schedule, _build_looks(schedule, look_rows), control_ids,
-                              leave_one_out=not args.no_leave_one_out)
+    result = run_surveillance(schedule, _build_looks(schedule, look_rows), control_ids)
     provenance = {"seed": args.seed}
     with _open_out(args.out) as out:
         fileio.write_results_table(out, result, provenance=provenance)
@@ -134,12 +132,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    repeats = args.repeats if args.repeats is not None else (
-        FULL_REPEATS if args.full_scale else DESK_REPEATS
-    )
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
-    scenarios = paper_scenarios(repeats=repeats, base_seed=args.seed)
+    scenarios = paper_scenarios(repeats=args.repeats, base_seed=args.seed)
     if args.list:
         for s in scenarios:
             print(s.name)
@@ -147,8 +142,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.scenario != "all":
         matches = [s for s in scenarios if s.name == args.scenario]
         if not matches:
-            print(f"error: unknown scenario {args.scenario!r}; try --list", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown scenario {args.scenario!r}; try --list")
         scenarios = matches
 
     if args.workers > 1 and len(scenarios) > 1:  # a forked pool starts every worker at once
@@ -162,7 +156,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         fileio.write_simulation_rows(
             out,
             reports,
-            provenance={"seed": args.seed, "repeats": repeats},
+            provenance={"seed": args.seed, "repeats": args.repeats},
         )
     return 0
 
@@ -192,11 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("looks", help="looks file (outcome_id,look,cumulative_observed[,cumulative_total])")
     p.add_argument("controls", help="negative-control ids (outcome_id)")
     p.add_argument("--seed", type=int, default=42, help=_SEED_ECHOED)
-    p.add_argument(
-        "--no-leave-one-out",
-        action="store_true",
-        help="score negative controls with the full-fit error model",
-    )
     p.add_argument("--out", default="-", help="per-look results table")
     p.add_argument("--summary", default="-", help="four-mode type-1 summary")
     p.set_defaults(func=cmd_run)
@@ -204,12 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="operating-characteristic simulations")
     p.add_argument("--scenario", default="all", help="scenario name, or 'all'")
     p.add_argument("--list", action="store_true", help="list scenario names and exit")
-    p.add_argument(
-        "--full-scale",
-        action="store_true",
-        help=f"repeats={FULL_REPEATS} (default: desk scale, {DESK_REPEATS})",
-    )
-    p.add_argument("--repeats", type=int, help="override the repeat count")
+    p.add_argument("--repeats", type=int, default=DESK_REPEATS,
+                   help=f"repeats per scenario (default %(default)s; full scale is {FULL_REPEATS})")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--workers", type=int, default=1, help="max parallel scenario workers")
     p.add_argument("--out", default="-")
@@ -221,9 +206,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except fileio.FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FitError, InsufficientControlsError, CurvatureError, CriticalValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

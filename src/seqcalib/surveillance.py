@@ -6,8 +6,9 @@ distribution on the informative negative controls' counts, and scores
 every outcome, on the schedule's count model, in all four analysis modes:
 p-value at nominal alpha versus MaxSPRT, each with and without
 calibration. Negative controls themselves are scored with leave-one-out
-error models so no control calibrates itself (the real-data protocol);
-simulation studies disable that and fit on all controls.
+error models (the real-data protocol; simulation studies fit on all
+controls), except at a look with fewer than three informative controls or
+a fallback look: there a control may be scored with a model fitted on it.
 """
 
 from __future__ import annotations
@@ -105,7 +106,6 @@ class SurveillanceResult:
     `outcomes` builds per-outcome records from them when first read.
     """
 
-    alpha: float
     ids: list[str]
     is_control: np.ndarray
     first_look: np.ndarray
@@ -168,7 +168,11 @@ def run_surveillance(
 
     When no error model can be fitted at a look (fewer than two informative
     negative controls, or no finite optimum), the most recent successful fit
-    is reused and the look index is recorded in fallback_looks.
+    is reused and the look index is recorded in fallback_looks. With
+    leave_one_out, each informative control is scored with a model fitted
+    without it, except at a fallback look or one with fewer than three
+    informative controls: the fit used there includes every control that
+    was informative when it was fitted.
     """
     control_ids = frozenset(negative_control_ids)
     if not control_ids:
@@ -265,7 +269,7 @@ def run_surveillance(
                                     fired[1:]))
 
     is_control = np.array([outcome_id in control_ids for outcome_id in ids], dtype=bool)
-    return SurveillanceResult(schedule.alpha, ids, is_control, first, per_look, fallback_looks)
+    return SurveillanceResult(ids, is_control, first, per_look, fallback_looks)
 
 
 def type1_report(result: SurveillanceResult) -> dict[str, float]:

@@ -68,3 +68,18 @@ class TestCalibratedP:
     def test_rejects_bad_se(self):
         with pytest.raises(ValueError):
             calibrated_p(0.1, 0.0, ErrorModel(0.0, 0.1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda beta: uncalibrated_p(beta, 0.1),
+        lambda beta: calibrated_p(beta, 0.1, ErrorModel(0.0, 0.1)),
+    ],
+    ids=["uncalibrated", "calibrated"],
+)
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_non_finite_estimate_raises_with_its_message(call, beta):
+    with pytest.raises(ValueError) as err:
+        call(beta)
+    assert str(err.value) == "beta_hat must be finite"

@@ -14,7 +14,7 @@ from seqcalib import cli, fileio
 from seqcalib.cli import main
 from seqcalib.likelihood import GridProfile, NormalApprox, PoissonCounts, profile_from_counts
 from seqcalib.maxsprt import LookSchedule
-from seqcalib.simharness import ErrorRateReport, ErrorRateRow
+from seqcalib.simharness import DESK_REPEATS, ErrorRateReport, ErrorRateRow
 
 from test_errormodel import grid_search_oracle, synthetic_controls
 from test_imports import run_fresh
@@ -335,7 +335,35 @@ class TestRun:
         series = self._null_series(3, 2, seed=4)
         schedule, looks, ctrl = self._write_inputs(tmp_path, series, controls=["nc-00", "ghost"])
         assert main(["run", str(schedule), str(looks), str(ctrl)]) == 2
-        assert "ghost" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: negative controls absent from looks file: ['ghost']\n"
+        )
+
+    def test_command_raises_and_prints_nothing(self, tmp_path, capsys):
+        series = self._null_series(3, 2, seed=4)
+        schedule, looks, ctrl = self._write_inputs(tmp_path, series, controls=["ghost"])
+        args = cli.build_parser().parse_args(["run", str(schedule), str(looks), str(ctrl)])
+        with pytest.raises(fileio.FileFormatError, match="absent from looks file"):
+            args.func(args)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([("a", 1, 5), ("a", 3, 9)], "look 3 outside the 2-look schedule"),
+            ([("a", 1, 5), ("a", 1, 6)], "duplicate row for outcome a at look 1"),
+            ([("a", 2, 5)], "looks must be numbered 1..T without gaps"),
+        ],
+        ids=["look-outside-schedule", "duplicate-row", "gap"],
+    )
+    def test_malformed_looks_exit_2_with_message(self, tmp_path, capsys, rows, message):
+        schedule, looks, ctrl = self._write_inputs(tmp_path, {"a": [5, 9]}, controls=["a"])
+        write_looks_file(looks, [
+            {"outcome_id": oid, "look": t, "cumulative_observed": v, "cumulative_total": None}
+            for oid, t, v in rows
+        ])
+        assert main(["run", str(schedule), str(looks), str(ctrl)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_poisson_rejects_totals(self, tmp_path):
         series = self._null_series(3, 2, seed=4)
@@ -412,7 +440,7 @@ class TestSimulate:
 
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["simulate", "--scenario", "nope"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown scenario 'nope'; try --list\n"
 
     def test_single_scenario_desk_mini(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -503,8 +531,29 @@ class TestSimulateWorkers:
         reports = read_output(out, fileio.read_simulation_rows)
         assert [r.scenario for r in reports] == ran and len(ran) == 12
 
+    def test_repeats_default_to_desk_scale(self, ran, monkeypatch, tmp_path):
+        repeats = []
+        stub = cli.run_scenario
+        monkeypatch.setattr(cli, "run_scenario", lambda s: repeats.append(s.repeats) or stub(s))
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--out", str(out)]) == 0
+        assert repeats == [DESK_REPEATS] * 12 and DESK_REPEATS == 20
+        assert out.read_text().splitlines()[1] == "# seed=42 repeats=20"
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_fewer_than_one_worker_exits_2(self, ran, capsys, workers):
         assert main(["simulate", "--workers", workers]) == 2
         assert "--workers must be at least 1" in capsys.readouterr().err
         assert RecordingExecutor.sizes == [] and ran == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "s.csv", "l.csv", "c.csv", "--no-leave-one-out"], ["simulate", "--full-scale"]],
+    ids=["run-no-leave-one-out", "simulate-full-scale"],
+)
+def test_removed_options_are_unknown_arguments(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from seqcalib.errormodel import (
 )
 from seqcalib.likelihood import (
     BinomialCounts,
+    CurvatureError,
     GridProfile,
     NormalApprox,
     PoissonCounts,
@@ -684,3 +685,23 @@ class TestErrorModelType:
     def test_null_calibration_model(self):
         model = ErrorModel(0.0, 0.0)
         assert model.mean == 0.0 and model.sd == 0.0
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ErrorModel(math.inf, 0.1), ValueError, "mean must be finite"),
+        (lambda: marginal_log_likelihood(math.nan, 0.1, [NormalApprox(0.0, 0.1)]), ValueError,
+         "mu must be finite"),
+        # maximum at the grid's last point
+        (lambda: marginal_log_likelihood(0.0, 0.1, [GridProfile([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])]),
+         CurvatureError, "1 grid profile(s) have no usable interior maximum"),
+        (lambda: marginal_log_likelihood(0.0, 0.1, []), ValueError,
+         "at least one profile is required"),
+    ],
+    ids=["inf-mean", "nan-mu", "excluded-grid", "no-profiles"],
+)
+def test_input_check_raises_with_its_message(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message

@@ -644,3 +644,22 @@ def test_header_fault_after_comments_reports_the_header_line(reader, header, fau
     with pytest.raises(fileio.FileFormatError, match=message) as err:
         reader(io.StringIO("\n".join(lines) + "\n"))
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "reader, text, message, line",
+    [
+        (fileio.read_estimates, "# seqcalib estimates v1\n\n# only comments\n",
+         "no header row found", None),
+        (fileio.read_schedule, "# seqcalib schedule v1\nmodel,t,e_t,p,alpha\n",
+         "schedule has no looks", None),
+        (fileio.read_schedule,
+         "# seqcalib schedule v1\nmodel,t,e_t,p,alpha\npoisson,1,4.0,,0.05\npoisson,1,4.0,,0.05\n",
+         "line 4: duplicate look 1", 4),
+    ],
+    ids=["no-header", "no-looks", "duplicate-look"],
+)
+def test_reader_input_check_raises_with_its_message_and_line(reader, text, message, line):
+    with pytest.raises(fileio.FileFormatError) as err:
+        reader(io.StringIO(text))
+    assert str(err.value) == message and err.value.line == line

@@ -317,3 +317,27 @@ class TestValidation:
             BinomialCounts(5, 4, 0.5)
         with pytest.raises(ValueError):
             BinomialCounts(1, 2, 1.5)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: NormalApprox(math.nan, 0.1), ValueError, "point_estimate must be finite"),
+        (lambda: GridProfile([0.0, 1.0, 2.0], [0.0, 1.0]), ValueError,
+         "grid_points and log_likelihoods must be 1-D and equal length"),
+        (lambda: BinomialCounts(0, 0, 0.5), ValueError, "total must be a positive integer"),
+        (lambda: tilted_proportion(1.0, 0.0), ValueError, "p must lie in (0, 1)"),
+        (lambda: tilted_proportion(0.0, 0.0), ValueError, "p must lie in (0, 1)"),
+        (lambda: profile_from_counts(NormalApprox(0.1, 0.2)), TypeError,
+         "unsupported count data: NormalApprox"),
+        # the rise into the maximum, over steps of 10, underflows: the fitted parabola is flat
+        (lambda: mle_and_se(GridProfile([0.0, 10.0, 20.0], [0.0, 5e-324, 0.0])), CurvatureError,
+         "log-likelihood is not concave at its maximum"),
+    ],
+    ids=["nan-estimate", "unequal-grid", "zero-total", "p-one", "p-zero", "not-counts",
+         "flat-maximum"],
+)
+def test_input_check_raises_with_its_message(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message

@@ -660,3 +660,18 @@ class TestScheduleValidation:
     def test_trials_rounded_to_nearest_positive_integer(self):
         schedule = LookSchedule((15.7, 0.4), alpha=0.05, model="binomial", exposure_proportion=0.5)
         assert list(schedule.binomial_trials()) == [16, 1]
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"alpha": 0.0}, "alpha must lie in (0, 1]"),
+        ({"alpha": 1.5}, "alpha must lie in (0, 1]"),
+        ({"model": "normal"}, "model must be 'poisson' or 'binomial'"),
+    ],
+    ids=["alpha-zero", "alpha-above-one", "unknown-model"],
+)
+def test_schedule_input_check_raises_with_its_message(overrides, message):
+    with pytest.raises(ValueError) as err:
+        LookSchedule((4.0, 4.0), **{"alpha": 0.05, **overrides})
+    assert type(err.value) is ValueError and str(err.value) == message

@@ -10,6 +10,7 @@ from seqcalib.likelihood import BinomialCounts, PoissonCounts, mle_and_se, poiss
 from seqcalib.maxsprt import compute_cv
 from seqcalib.simharness import (
     SCCS_NULL_EXPOSURE_PROPORTION,
+    ErrorRateReport,
     SimulationScenario,
     confounding_demo,
     generate_outcome_data,
@@ -52,7 +53,7 @@ class TestPaperScenarios:
 
     def test_looks_alpha_and_sizes(self):
         scenarios = paper_scenarios()
-        assert all(s.looks == 10 and s.alpha == 0.05 for s in scenarios)
+        assert all(s.looks == 10 and scenario_schedule(s).alpha == 0.05 for s in scenarios)
         assert {s.sample_size for s in scenarios if s.design == "historical"} == {100_000, 1_000_000}
         assert {s.sample_size for s in scenarios if s.design == "sccs"} == {100, 1_000}
 
@@ -284,3 +285,23 @@ class TestConfoundingDemo:
     def test_rejects_tiny_samples(self):
         with pytest.raises(ValueError):
             confounding_demo([500], repeats=1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mini_scenario(design="cohort"), "design must be 'historical' or 'sccs'"),
+        (lambda: mini_scenario(sample_size=0), "sample_size must be positive"),
+        (lambda: mini_scenario(looks=0), "looks and repeats must be at least 1"),
+        (lambda: mini_scenario(repeats=0), "looks and repeats must be at least 1"),
+        (lambda: mini_scenario(error_sd=-0.1), "error_sd must be nonnegative"),
+        (lambda: ErrorRateReport("empty").mean_rate("cal_p", "type1"),
+         "no rows for mode=cal_p rate_type=type1"),
+        (lambda: confounding_demo([1000], repeats=0), "repeats must be at least 1"),
+    ],
+    ids=["design", "sample-size", "looks", "repeats", "error-sd", "no-rows", "demo-repeats"],
+)
+def test_input_check_raises_with_its_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
