@@ -185,9 +185,12 @@ def _write_header(f: TextIO, kind: str, provenance: Mapping[str, object] | None)
 
 def _write_rows(f: TextIO, columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     writer = csv.writer(f, lineterminator="\n")
+    quoted = csv.writer(f, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_format_value(v) for v in row])
+        fields = [_format_value(v) for v in row]
+        # a line that starts with "#", also after spaces, would read back as a comment
+        (quoted if fields and fields[0].lstrip().startswith("#") else writer).writerow(fields)
 
 
 # ---------------------------------------------------------------- estimates

@@ -8,6 +8,7 @@ from scipy.optimize import brentq, minimize
 from seqcalib import errormodel, simharness
 from seqcalib.errormodel import (
     ErrorModel,
+    FitError,
     InsufficientControlsError,
     fit_error_model,
     leave_one_out_models,
@@ -522,6 +523,11 @@ class TestMinimize:
         assert res.x == pytest.approx((0.5, 0.5), abs=1e-6)
 
 
+def search(run, fun):
+    """The end of one generator search, sent fun of each point it yields."""
+    return errormodel._lockstep({0: run}, lambda points: {0: fun(points[0])})[0]
+
+
 class TestZeroSdMean:
     @pytest.mark.parametrize(
         "name,profiles,most",
@@ -532,9 +538,7 @@ class TestZeroSdMean:
             ("poisson", PROFILE_SETS["poisson"], 10),
         ],
     )
-    def test_agrees_with_brentq_within_a_stated_number_of_evaluations(
-        self, monkeypatch, name, profiles, most
-    ):
+    def test_agrees_with_brentq_within_a_stated_number_of_evaluations(self, name, profiles, most):
         # grid scores are piecewise constant, so on grids alone the search bisects:
         # 3 evaluations, then one per halving of the MLEs' range down to 2e-12
         prep = errormodel._prepare(profiles())
@@ -544,21 +548,22 @@ class TestZeroSdMean:
         expected = brentq(lambda m: one_point(m, prep)[1], lo, hi)
         calls = []
 
-        def counted(mu, prep):
+        def counted(mu):
             calls.append(mu)
             return one_point(mu, prep)
 
-        monkeypatch.setattr(errormodel, "_evaluate_at_zero_sd", counted)
         for start in (lo, float(mles.mean()), hi):
             calls.clear()
-            mean, value = errormodel._zero_sd_mean(prep, lo, hi, start)
+            mean, value = search(errormodel._zero_sd_mean(lo, hi, start), counted)
             assert abs(mean - expected) <= 1e-10
             assert value == one_point(mean, prep)[0]
             assert len(calls) <= most
 
-    def test_none_without_a_sign_change(self):
+    def test_start_without_a_sign_change(self):
         prep = errormodel._prepare([NormalApprox(0.0, 0.1), NormalApprox(0.2, 0.1)])
-        assert errormodel._zero_sd_mean(prep, 0.3, 0.5, 0.4) is None
+        value = errormodel._evaluate_at_zero_sd(0.4, prep)[0]
+        run = errormodel._zero_sd_mean(0.3, 0.5, 0.4)
+        assert search(run, lambda mu: errormodel._evaluate_at_zero_sd(mu, prep)) == (0.4, value)
 
 
 class TestNodeLogLikelihoods:
@@ -653,18 +658,74 @@ class TestLeaveOneOut:
             assert model is not None
             assert model == fit_error_model(profiles[:i] + profiles[i + 1 :])
 
-    def test_each_model_is_one_call_of_fit_error_model(self, monkeypatch):
+    def test_each_profile_is_estimated_once(self, monkeypatch):
         profiles = count_controls(5, 0.1, 0.2, seed=80, design="poisson")
-        fitted = []
+        estimated = []
 
-        def counting_fit(profiles):
-            fitted.append(len(profiles))
-            return fit_error_model(profiles)
+        def counting_mle_and_se(profile):
+            estimated.append(profile)
+            return mle_and_se(profile)
 
-        monkeypatch.setattr(errormodel, "fit_error_model", counting_fit)
+        monkeypatch.setattr(errormodel, "mle_and_se", counting_mle_and_se)
         models = leave_one_out_models(profiles)
-        assert fitted == [4] * 5
+        assert estimated == profiles
         assert all(m is not None for m in models)
+
+    def test_folds_of_unequal_runs_match_their_own_fits(self, monkeypatch):
+        # leaving out the outlier takes more Newton steps and line-search halvings
+        profiles = count_controls(6, 0.1, 0.2, seed=82, design="binomial")
+        profiles.append(PoissonCounts(60, 10.0))
+        newton, values = errormodel._newton, []
+
+        def recording(x0):
+            run, mine = newton(x0), []
+            values.append(mine)
+            point = next(run)
+            while True:
+                evaluation = yield point
+                mine.append(evaluation[0])
+                try:
+                    point = run.send(evaluation)
+                except StopIteration as end:
+                    return end.value
+
+        monkeypatch.setattr(errormodel, "_newton", recording)
+        models = leave_one_out_models(profiles)
+        evaluations = [len(v) for v in values]
+        halvings = [sum(f >= min(v[:k]) for k, f in enumerate(v) if k) for v in values]
+        assert len(set(evaluations)) > 1 and len(set(halvings)) > 1
+        for i, model in enumerate(models):
+            assert model == fit_error_model(profiles[:i] + profiles[i + 1 :])
+
+    def test_a_fold_without_a_finite_objective_is_none(self, monkeypatch):
+        # one fold of a group fails where it starts; the others run on beside it
+        profiles = count_controls(6, 0.1, 0.2, seed=81, design="poisson")
+        expected = [fit_error_model(profiles[:i] + profiles[i + 1 :]) for i in range(1, 6)]
+        marker, evaluate = mle_and_se(profiles[0])[0], errormodel._evaluate
+
+        def failing_without_the_first(mu, sd, prep):
+            value, grad, hess = evaluate(mu, sd, prep)
+            return np.where((prep.mode == marker).any(axis=-1), value, -np.inf), grad, hess
+
+        monkeypatch.setattr(errormodel, "_evaluate", failing_without_the_first)
+        assert leave_one_out_models(profiles) == [None, *expected]
+        with pytest.raises(FitError):
+            fit_error_model(profiles[1:])
+
+    def test_zero_mass_in_one_fold_leaves_the_others_exact(self):
+        profiles = count_controls(5, 0.1, 0.2, seed=83, design="binomial")
+        prep = errormodel._prepare(profiles)
+        rows = np.array([np.delete(np.arange(5), i) for i in range(5)])
+        group = errormodel._take(prep, rows, (0, 0, 0))
+        mu, sd = np.array([0.1, 800.0, -0.2, 0.3, 0.0]), np.array([0.2, 0.01, 0.5, 0.0, 0.1])
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow that zeroes the mass
+            value, grad, hess = errormodel._evaluate(mu, sd, group)
+        assert value[1] == -np.inf
+        for i in (0, 2, 3, 4):
+            fold = errormodel._prepare(profiles[:i] + profiles[i + 1 :])
+            own = errormodel._evaluate(mu[i], sd[i], fold)
+            assert (value[i], grad[0][i], grad[1][i]) == (own[0], *own[1])
+            assert np.array(hess)[:, :, i].tolist() == np.array(own[2]).tolist()
 
     def test_failed_fits_are_none(self):
         unusable = GridProfile([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])

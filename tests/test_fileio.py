@@ -558,6 +558,33 @@ class TestResultsAndSummary:
         assert parsed == fractions
 
 
+class TestIdsLikeComments:
+    # a row whose id starts with "#", also after spaces, is quoted, so no reader drops it
+    IDS = ["#3", " #4", "ok", "#hot"]
+
+    def test_estimates_and_looks_read_back(self):
+        estimates = [NormalApprox(0.1 * i, 0.2, oid) for i, oid in enumerate(self.IDS)]
+        text, parsed = roundtrip(fileio.write_estimates, fileio.read_estimates, estimates)
+        assert parsed == estimates
+        assert '\n"#3","0.0","0.2"\n' in text and "\nok,0.2,0.2\n" in text
+        looks = [{"outcome_id": oid, "look": 1, "cumulative_observed": 3, "cumulative_total": 9}
+                 for oid in self.IDS]
+        assert roundtrip(fileio.write_looks, fileio.read_looks, looks)[1] == looks
+
+    def test_results_table_reads_back(self):
+        counts = {"#3": (4, 9), " #4": (6, 11), "ok": (5, 10), "nc": (3, 12), "#hot": (9, 19)}
+        looks = [
+            LookObservation(t + 1, {o: PoissonCounts(c[t], 5.0 * (t + 1)) for o, c in counts.items()})
+            for t in range(2)
+        ]
+        schedule = LookSchedule((5.0, 5.0), alpha=0.05)
+        result = run_surveillance(schedule, looks, ["#3", " #4", "ok", "nc"])
+        _, parsed = roundtrip(fileio.write_results_table, fileio.read_results_table, result)
+        assert sorted((r["outcome_id"], r["look"]) for r in parsed) == sorted(
+            (oid, look) for oid in counts for look in (1, 2)
+        )
+
+
 class TestSimulationRows:
     def test_roundtrip(self):
         report = ErrorRateReport(
