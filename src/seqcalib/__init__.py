@@ -12,6 +12,7 @@ from .errormodel import (
     FitError,
     InsufficientControlsError,
     fit_error_model,
+    fit_error_models,
     leave_one_out_models,
     marginal_log_likelihood,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "compute_cv",
     "confounding_demo",
     "fit_error_model",
+    "fit_error_models",
     "generate_outcome_data",
     "leave_one_out_models",
     "marginal_log_likelihood",

@@ -31,6 +31,7 @@ __all__ = [
     "FitError",
     "InsufficientControlsError",
     "fit_error_model",
+    "fit_error_models",
     "leave_one_out_models",
     "marginal_log_likelihood",
 ]
@@ -100,7 +101,6 @@ class _Prepared:
     width2: np.ndarray
     root2_width: np.ndarray
     position: np.ndarray
-    n_excluded: int
 
     @property
     def n_profiles(self) -> int:
@@ -108,9 +108,9 @@ class _Prepared:
 
 
 def _prepare(profiles: Sequence[LikelihoodProfile]) -> _Prepared:
-    """Stack the profiles, dropping and counting file grids without a usable maximum."""
+    """Stack the profiles, dropping file grids without a usable maximum."""
     # rows are (input index, mode or estimate, width or variance, payload)
-    normal, grids, poisson, binomial, excluded = [], [], [], [], 0
+    normal, grids, poisson, binomial = [], [], [], []
     for index, pr in enumerate(profiles):
         if isinstance(pr, NormalApprox):
             normal.append((index, pr.point_estimate, pr.standard_error**2))
@@ -118,7 +118,6 @@ def _prepare(profiles: Sequence[LikelihoodProfile]) -> _Prepared:
         try:
             mode, width = mle_and_se(pr)
         except CurvatureError:
-            excluded += 1
             continue
         if isinstance(pr, GridProfile):
             grids.append((index, mode, width, pr))
@@ -144,7 +143,6 @@ def _prepare(profiles: Sequence[LikelihoodProfile]) -> _Prepared:
         width * width,
         math.sqrt(2.0) * width,
         np.array([r[0] for r in normal + rows], dtype=int),
-        excluded,
     )
 
 
@@ -342,8 +340,9 @@ def marginal_log_likelihood(mu: float, sd: float, profiles: Iterable[LikelihoodP
         raise ValueError("sd must be nonnegative and finite")
     profiles = list(profiles)
     prep = _prepare(profiles)
-    if prep.n_excluded:
-        raise CurvatureError(f"{prep.n_excluded} grid profile(s) have no usable interior maximum")
+    if prep.n_profiles < len(profiles):
+        raise CurvatureError(f"{len(profiles) - prep.n_profiles} grid profile(s) have no usable "
+                             "interior maximum")
     if prep.n_profiles == 0:
         raise ValueError("at least one profile is required")
     peaks = [_peak(profiles[i], m) for i, m in zip(prep.position[prep.norm_beta.size :], prep.mode)]
@@ -603,15 +602,28 @@ def fit_error_model(profiles: Iterable[LikelihoodProfile]) -> ErrorModel:
         FitError: The fit ended without a finite objective.
         UninformativeProfileError: Counts without an interior maximum.
     """
-    prep = _prepare(list(profiles))
-    if prep.n_profiles < 2:
+    profiles = list(profiles)
+    (model,) = fit_error_models([profiles])
+    if model is not None:
+        return model
+    if (usable := _prepare(profiles).n_profiles) < 2:  # prepared again on failure only
         raise InsufficientControlsError(
-            f"need at least 2 usable negative-control profiles, got {prep.n_profiles}"
+            f"need at least 2 usable negative-control profiles, got {usable}"
         )
-    model = _fit_folds(prep, [np.arange(prep.n_profiles)], [prep.n_excluded])[0]
-    if model is None:
-        raise FitError("no finite optimum found for the systematic-error distribution")
-    return model
+    raise FitError("no finite optimum found for the systematic-error distribution")
+
+
+def fit_error_models(
+    profile_sets: Iterable[Iterable[LikelihoodProfile]],
+) -> list[ErrorModel | None]:
+    """fit_error_model of each set, or None where that call would raise InsufficientControlsError
+    or FitError. Every profile is prepared once, and the sets' fits, one fold each, run in
+    lockstep (_fit_folds); UninformativeProfileError aborts them all."""
+    sets = [list(profiles) for profiles in profile_sets]
+    prep = _prepare([pr for profiles in sets for pr in profiles])
+    owner = np.repeat(np.arange(len(sets)), [len(profiles) for profiles in sets])[prep.position]
+    kept = [np.flatnonzero(owner == k) for k in range(len(sets))]
+    return _fit_folds(prep, kept, [len(p) - k.size for p, k in zip(sets, kept)])
 
 
 def leave_one_out_models(profiles: Sequence[LikelihoodProfile]) -> list[ErrorModel | None]:
@@ -626,6 +638,6 @@ def leave_one_out_models(profiles: Sequence[LikelihoodProfile]) -> list[ErrorMod
     if len(profiles) < 3:
         raise InsufficientControlsError("leave-one-out requires at least 3 profiles")
     prep = _prepare(profiles)
-    rows = np.arange(prep.n_profiles)
+    rows, excluded = np.arange(prep.n_profiles), len(profiles) - prep.n_profiles
     kept = [rows[prep.position != i] for i in range(len(profiles))]
-    return _fit_folds(prep, kept, [prep.n_excluded - (k.size == rows.size) for k in kept])
+    return _fit_folds(prep, kept, [excluded - (k.size == rows.size) for k in kept])

@@ -5,10 +5,12 @@ standard error from its cumulative counts, refits the systematic-error
 distribution on the informative negative controls' counts, and scores
 every outcome, on the schedule's count model, in all four analysis modes:
 p-value at nominal alpha versus MaxSPRT, each with and without
-calibration. Negative controls themselves are scored with leave-one-out
-error models (the real-data protocol; simulation studies fit on all
-controls), except at a look with fewer than three informative controls or
-a fallback look: there a control may be scored with a model fitted on it.
+calibration. All looks are read first, so that their refits run in one
+lockstep (errormodel.fit_error_models). Negative controls themselves are
+scored with leave-one-out error models (the real-data protocol; simulation
+studies fit on all controls), except at a look with fewer than three
+informative controls or a fallback look: there a control may be scored
+with a model fitted on it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .calibration import calibrated_p, uncalibrated_p
-from .errormodel import ErrorModel, FitError, fit_error_model, leave_one_out_models
+from .errormodel import ErrorModel, FitError, fit_error_models, leave_one_out_models
+from .errormodel import fit_error_model  # noqa: F401  unused, but bench/tracing.py rebinds this name here
 from .likelihood import (
     CountData,
     PoissonCounts,
@@ -166,35 +169,26 @@ def run_surveillance(
     depends on later looks, so truncating the stream reproduces a prefix
     of the results exactly.
 
+    Stages: every look is read, checked and estimated; all looks' models are
+    fitted in one fit_error_models call; then each look is scored. So a look
+    that breaks a rule above raises before any model or cv is computed.
+
     When no error model can be fitted at a look (fewer than two informative
     negative controls, or no finite optimum), the most recent successful fit
-    is reused and the look index is recorded in fallback_looks. With
-    leave_one_out, each informative control is scored with a model fitted
-    without it, except at a fallback look or one with fewer than three
-    informative controls: the fit used there includes every control that
-    was informative when it was fitted.
+    is reused and the look index is recorded in fallback_looks (FitError at
+    look 1). With leave_one_out, each informative control is scored with a
+    model fitted without it, except at a fallback look or one with fewer
+    than three informative controls: the fit used there includes every
+    control that was informative when it was fitted.
     """
     control_ids = frozenset(negative_control_ids)
     if not control_ids:
         raise ValueError("calibrated modes require negative control ids")
     poisson = schedule.model == "poisson"
 
-    uncal_cv = compute_cv(schedule, NO_REPLICATES).cv
-    cal_cv_cache: dict[tuple[float, float], float] = {}
-
-    def cal_cv(model: ErrorModel) -> float:
-        key = (model.mean, model.sd)
-        if key not in cal_cv_cache:
-            cal_cv_cache[key] = compute_calibrated_cv(schedule, model, NO_REPLICATES).cv
-        return cal_cv_cache[key]
-
     current_counts: dict[str, CountData] = {}
     ids: list[str] = []  # every outcome seen so far, sorted: the rows of each look's columns
-    first = np.zeros((1 + len(ALL_MODES), 0), dtype=int)  # SurveillanceResult.first_look
-    per_look: list[LookColumns] = []
-    full_model: ErrorModel | None = None  # the latest fit
-    fallback_looks: list[int] = []
-
+    staged = []  # per look: ids, counts, estimates, uncalibrated p, informative control rows
     for t, obs in enumerate(looks, start=1):
         if obs.look_index != t:
             raise ProtocolError(f"expected look {t}, got {obs.look_index}")
@@ -210,12 +204,8 @@ def run_surveillance(
                                  f"{schedule.exposure_proportion}")
             _check_nondecreasing(current_counts.get(outcome_id), counts, outcome_id)
             current_counts[outcome_id] = counts
-        if len(current_counts) > len(ids):  # new outcomes: widen the columns
-            grown = sorted(current_counts)
-            row_of = {outcome_id: i for i, outcome_id in enumerate(grown)}
-            widened = np.zeros((1 + len(ALL_MODES), len(grown)), dtype=int)
-            widened[:, [row_of[outcome_id] for outcome_id in ids]] = first
-            first, ids = widened, grown
+        if len(current_counts) > len(ids):
+            ids = sorted(current_counts)
         rows = [current_counts[outcome_id] for outcome_id in ids]
 
         # estimates and p-values stay scalar `math`, one outcome at a time: numpy's log and
@@ -228,32 +218,50 @@ def run_surveillance(
             except UninformativeProfileError:
                 continue
             p_unc[i] = uncalibrated_p(b, s)
+        controls = [i for i, (c, b) in enumerate(zip(ids, beta_hat))
+                    if b is not None and c in control_ids]
+        staged.append((ids, rows, beta_hat, se, p_unc, controls))
 
-        informative_controls = [c for c, b in zip(ids, beta_hat)
-                                if b is not None and c in control_ids]
-        control_profiles = [current_counts[c] for c in informative_controls]
-        try:
-            fitted = fit_error_model(control_profiles) if len(control_profiles) >= 2 else None
-        except FitError:
-            fitted = None
-        control_models: dict[str, ErrorModel] = {}
+    fits = fit_error_models([[rows[i] for i in controls] for _, rows, *_, controls in staged])
+
+    uncal_cv = compute_cv(schedule, NO_REPLICATES).cv
+    cal_cv_cache: dict[tuple[float, float], float] = {}
+
+    def cal_cv(model: ErrorModel) -> float:
+        key = (model.mean, model.sd)
+        if key not in cal_cv_cache:
+            cal_cv_cache[key] = compute_calibrated_cv(schedule, model, NO_REPLICATES).cv
+        return cal_cv_cache[key]
+
+    seen: list[str] = []  # the previous look's ids
+    first = np.zeros((1 + len(ALL_MODES), 0), dtype=int)  # SurveillanceResult.first_look
+    per_look: list[LookColumns] = []
+    full_model: ErrorModel | None = None  # the latest fit
+    fallback_looks: list[int] = []
+    for t, ((ids, rows, beta_hat, se, p_unc, controls), fitted) in enumerate(zip(staged, fits),
+                                                                             start=1):
+        if len(ids) > len(seen):  # new outcomes: widen the columns
+            row_of = {outcome_id: i for i, outcome_id in enumerate(ids)}
+            widened = np.zeros((1 + len(ALL_MODES), len(ids)), dtype=int)
+            widened[:, [row_of[outcome_id] for outcome_id in seen]] = first
+            first, seen = widened, ids
         if fitted is None:
             if full_model is None:
                 raise FitError(f"no systematic-error model available at look {t}")
             fallback_looks.append(t)
         else:
             full_model = fitted
-            if leave_one_out and len(control_profiles) >= 3:
-                loo = leave_one_out_models(control_profiles)
-                control_models = {cid: full_model if m is None else m
-                                  for cid, m in zip(informative_controls, loo)}
+        models = [full_model] * len(ids)
+        if fitted is not None and leave_one_out and len(controls) >= 3:
+            loo = leave_one_out_models([rows[i] for i in controls])
+            for i, m in zip(controls, loo):
+                models[i] = full_model if m is None else m
 
         if poisson:
             llr = poisson_llr([c.observed for c in rows], [c.expected for c in rows])
         else:
             llr = binomial_llr([c.exposed for c in rows], [c.total for c in rows],
                                schedule.exposure_proportion)
-        models = [control_models.get(outcome_id, full_model) for outcome_id in ids]
         p_cal = [None if b is None else calibrated_p(b, s, model)
                  for b, s, model in zip(beta_hat, se, models)]
         cv_cal = [cal_cv(m) for m in models]
@@ -268,8 +276,8 @@ def run_surveillance(
         per_look.append(LookColumns(ids, beta_hat, se, llr, p_unc, p_cal, uncal_cv, cv_cal, models,
                                     fired[1:]))
 
-    is_control = np.array([outcome_id in control_ids for outcome_id in ids], dtype=bool)
-    return SurveillanceResult(ids, is_control, first, per_look, fallback_looks)
+    is_control = np.array([outcome_id in control_ids for outcome_id in seen], dtype=bool)
+    return SurveillanceResult(seen, is_control, first, per_look, fallback_looks)
 
 
 def type1_report(result: SurveillanceResult) -> dict[str, float]:

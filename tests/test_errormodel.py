@@ -11,6 +11,7 @@ from seqcalib.errormodel import (
     FitError,
     InsufficientControlsError,
     fit_error_model,
+    fit_error_models,
     leave_one_out_models,
     marginal_log_likelihood,
 )
@@ -736,6 +737,59 @@ class TestLeaveOneOut:
     def test_requires_three_profiles(self):
         with pytest.raises(InsufficientControlsError):
             leave_one_out_models([NormalApprox(0.0, 0.1), NormalApprox(0.1, 0.1)])
+
+
+class TestFitErrorModels:
+    """Entry k of fit_error_models(sets) == fit_error_model(sets[k]), or None where it raises."""
+
+    @staticmethod
+    def profile_sets():
+        unusable = GridProfile([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+        grids = [profile_from_counts(p) for p in count_controls(4, 0.1, 0.2, seed=5, design="poisson")]
+        return [
+            synthetic_controls(7, 0.1, 0.2, seed=4)[2],
+            count_controls(9, 0.2, 0.2, seed=77, design="poisson"),
+            grids[:2] + [unusable] + grids[2:],
+            count_controls(6, 0.2, 0.2, seed=77, design="binomial"),
+            # as many rows of the same kind as the second set, so the two share a fold group
+            count_controls(9, 0.1, 0.3, seed=78, design="poisson"),
+            mixed_controls(),
+            grids,
+        ]
+
+    def test_each_set_matches_its_own_fit(self):
+        sets = self.profile_sets()
+        models = fit_error_models(sets)
+        assert models == [fit_error_model(profiles) for profiles in sets]
+        assert [m.n_excluded for m in models] == [0, 0, 1, 0, 0, 0, 0]
+        assert [m.n_controls for m in models] == [7, 9, 4, 6, 9, 20, 4]
+        assert fit_error_models(iter(sets[1:2])) == models[1:2] and fit_error_models([]) == []
+
+    def test_sets_without_a_fit_are_none_and_the_others_still_match(self, monkeypatch):
+        unusable = GridProfile([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+        failing = count_controls(5, 0.1, 0.2, seed=81, design="poisson") + [PoissonCounts(60, 10.0)]
+        sets = self.profile_sets()
+        expected = [fit_error_model(profiles) for profiles in sets]
+        marker, evaluate = mle_and_se(failing[-1])[0], errormodel._evaluate
+
+        def failing_with_the_marker(mu, sd, prep):
+            value, grad, hess = evaluate(mu, sd, prep)
+            return np.where((prep.mode == marker).any(axis=-1), -np.inf, value), grad, hess
+
+        monkeypatch.setattr(errormodel, "_evaluate", failing_with_the_marker)
+        thin = [[NormalApprox(0.0, 0.1)], [], [NormalApprox(0.0, 0.1), unusable]]
+        models = fit_error_models([sets[0], *thin, sets[1], failing, *sets[2:]])
+        assert models == [expected[0], None, None, None, expected[1], None, *expected[2:]]
+        for profiles in thin:
+            with pytest.raises(InsufficientControlsError):
+                fit_error_model(profiles)
+        with pytest.raises(FitError):
+            fit_error_model(failing)
+
+    def test_uninformative_counts_raise(self):
+        sets = self.profile_sets()[:2] + [[PoissonCounts(8, 10.0), PoissonCounts(0, 5.0)]]
+        with pytest.raises(UninformativeProfileError):
+            fit_error_models(sets)
 
 
 class TestErrorModelType:

@@ -8,7 +8,7 @@ import pytest
 import seqcalib.simharness as simharness
 import seqcalib.surveillance as surveillance_module
 from seqcalib.calibration import calibrated_p, uncalibrated_p
-from seqcalib.errormodel import ErrorModel, FitError
+from seqcalib.errormodel import ErrorModel, FitError, fit_error_model
 from seqcalib.likelihood import (
     BinomialCounts,
     PoissonCounts,
@@ -59,9 +59,10 @@ def reference_surveillance(schedule, looks, negative_control_ids, *, leave_one_o
     """The per-outcome scoring loop that the columnar one replaced, kept as an exact oracle.
 
     Each outcome-look is scored on its own: a scalar LLR call, then scalar
-    estimates, p-values and signal checks. Looks are assumed valid. The fits
-    go through `surveillance.fit_error_model` and `leave_one_out_models`, so a
-    test that replaces the fit replaces it here too.
+    estimates, p-values and signal checks. Looks are assumed valid. Each look
+    is fitted on its own, a one-set `surveillance.fit_error_models` call, and
+    through `leave_one_out_models`, so a test that replaces the fit replaces it
+    here too, and a match shows the run's batched fits equal to one-at-a-time ones.
     """
     control_ids = frozenset(negative_control_ids)
     uncal_cv = compute_cv(schedule, NO_REPLICATES).cv
@@ -90,14 +91,10 @@ def reference_surveillance(schedule, looks, negative_control_ids, *, leave_one_o
             except UninformativeProfileError:
                 pass
 
-        full_model, control_models = None, {}
+        control_models = {}
         informative_controls = sorted(c for c in control_ids if c in estimates)
         control_profiles = [current_counts[c] for c in informative_controls]
-        if len(control_profiles) >= 2:
-            try:
-                full_model = surveillance_module.fit_error_model(control_profiles)
-            except FitError:
-                full_model = None
+        (full_model,) = surveillance_module.fit_error_models([control_profiles])
         if full_model is None:
             full_model = last_full_model
             fallback_looks.append(t)
@@ -222,14 +219,14 @@ FIXTURES = pytest.mark.parametrize(
 
 
 def fit_failing_at_look(looks, controls, look):
-    """fit_error_model, raising FitError on the controls' full set at the given look."""
-    real_fit = surveillance_module.fit_error_model
+    """fit_error_models, failing (None) on the controls' full set at the given look."""
+    real_fit = surveillance_module.fit_error_models
     full_set = [looks[look - 1].counts[c] for c in sorted(controls)]
 
-    def fit(profiles):
-        if list(profiles) == full_set:
-            raise FitError("no finite optimum")
-        return real_fit(profiles)
+    def fit(profile_sets):
+        sets = [list(profiles) for profiles in profile_sets]
+        return [None if profiles == full_set else model
+                for profiles, model in zip(sets, real_fit(sets))]
 
     return fit
 
@@ -268,7 +265,7 @@ class TestMatchesPerOutcomeReference:
     @FIXTURES
     def test_fallback_look(self, monkeypatch, fixture, leave_one_out):
         schedule, looks, controls = fixture()
-        monkeypatch.setattr(surveillance_module, "fit_error_model",
+        monkeypatch.setattr(surveillance_module, "fit_error_models",
                             fit_failing_at_look(looks, controls, 2))
         result = assert_matches_reference(schedule, looks, controls, leave_one_out)
         assert result.fallback_looks == [2]
@@ -357,9 +354,8 @@ class TestRunSurveillance:
         series = null_control_series(8, 3, seed=3)
         series["hot"] = [9, 16, 22]
         controls = [k for k in series if k != "hot"]
-        monkeypatch.setattr(
-            surveillance_module, "fit_error_model", lambda profiles: ErrorModel(0.0, 0.0)
-        )
+        monkeypatch.setattr(surveillance_module, "fit_error_models",
+                            lambda profile_sets: [ErrorModel(0.0, 0.0) for _ in profile_sets])
         result = run_surveillance(
             poisson_schedule(), poisson_looks(series), controls, leave_one_out=False
         )
@@ -430,13 +426,12 @@ class TestRunSurveillance:
         # cumulative counts never lose information, so the look-2 fit is made to fail
         fits = []
 
-        def fit_once(profiles):
-            fits.append(profiles)
-            if len(fits) > 1:
-                raise FitError("no finite optimum")
-            return ErrorModel(0.1, 0.2, n_controls=len(profiles))
+        def fit_once(profile_sets):
+            fits.append([list(profiles) for profiles in profile_sets])
+            return [ErrorModel(0.1, 0.2, n_controls=len(profiles)) if t == 0 else None
+                    for t, profiles in enumerate(fits[-1])]
 
-        monkeypatch.setattr(surveillance_module, "fit_error_model", fit_once)
+        monkeypatch.setattr(surveillance_module, "fit_error_models", fit_once)
         schedule = LookSchedule(
             (4.0, 4.0), alpha=0.05, model="binomial", exposure_proportion=0.5
         )
@@ -459,11 +454,49 @@ class TestRunSurveillance:
             ),
         ]
         result = run_surveillance(schedule, looks, ["nc-0", "nc-1"])
-        assert len(fits) == 2
+        assert [len(sets) for sets in fits] == [2]  # one call, one set per look
         assert result.fallback_looks == [2]
         look1_model = result.outcomes["x"].looks[0].error_model
         look2_model = result.outcomes["x"].looks[1].error_model
         assert look2_model == look1_model
+
+    @pytest.mark.parametrize(
+        "fault, error, message",
+        [
+            ("out-of-order", ProtocolError, "expected look 3, got 4"),
+            ("other-model", ValueError, "outcome odd look 3: "),
+            ("decreasing", ValueError, "outcome hot: cumulative counts decreased"),
+        ],
+    )
+    def test_a_bad_later_look_raises_before_any_fit_or_cv(self, monkeypatch, fault, error,
+                                                            message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model or cv was computed")
+
+        for name in ("fit_error_models", "leave_one_out_models", "compute_cv",
+                     "compute_calibrated_cv"):
+            monkeypatch.setattr(surveillance_module, name, refuse)
+        schedule, looks, controls = poisson_fixture()
+        last = looks[2].counts
+        looks[2] = {
+            "out-of-order": LookObservation(4, last),
+            "other-model": LookObservation(3, {**last, "odd": BinomialCounts(4, 9, 0.3)}),
+            "decreasing": LookObservation(3, {**last, "hot": PoissonCounts(1, 18.0)}),
+        }[fault]
+        with pytest.raises(error, match=f"^{message}"):
+            run_surveillance(schedule, looks, controls)
+
+    @FIXTURES
+    def test_each_look_model_is_the_fit_of_its_informative_controls(self, fixture):
+        schedule, looks, controls = fixture()
+        result = run_surveillance(schedule, looks, controls, leave_one_out=False)
+        current = {}
+        for obs, columns in zip(looks, result.looks):
+            current.update(obs.counts)
+            informative = [current[c] for c in sorted(controls)
+                           if columns.beta_hat[columns.ids.index(c)] is not None]
+            expected = fit_error_model(informative)
+            assert all(model == expected for model in columns.error_model)
 
     def test_outcome_absent_from_later_look_carries_forward(self):
         schedule = poisson_schedule(n_looks=2)
@@ -581,7 +614,7 @@ class TestColumns:
 
     def test_readers_equal_a_recount_from_the_records(self, monkeypatch):
         schedule, looks, controls, new_id = renamed_poisson_fixture()
-        monkeypatch.setattr(surveillance_module, "fit_error_model",
+        monkeypatch.setattr(surveillance_module, "fit_error_models",
                             fit_failing_at_look(looks, controls, 2))
         results = []
 
