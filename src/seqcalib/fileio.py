@@ -188,7 +188,9 @@ def _write_rows(f: TextIO, columns: Sequence[str], rows: Iterable[Sequence[objec
     quoted = csv.writer(f, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(columns)
     for row in rows:
-        fields = [_format_value(v) for v in row]
+        # the common exact types inline, each as _format_value writes it
+        fields = [repr(v) if type(v) is float else ("true" if v else "false") if type(v) is bool
+                  else "" if v is None else _format_value(v) for v in row]
         # a line that starts with "#", also after spaces, would read back as a comment
         (quoted if fields and fields[0].lstrip().startswith("#") else writer).writerow(fields)
 

@@ -431,6 +431,71 @@ class TestRun:
         assert main(["run", str(schedule), str(looks), str(ctrl)]) == 2
 
 
+REGRESSION_RESULTS = Path(__file__).parent / "data" / "run_regression_results.csv"
+
+
+def write_regression_inputs(directory):
+    """Schedule, looks and controls files of a binomial run: 8 negative controls and
+    8 outcomes over 3 looks of 60 expected cases at exposure proportion 0.25. Each
+    count is the rounded expectation under a control's bias (0.2 + 0.2 z, z evenly
+    spread over [-1.5, 1.5]) or an outcome's relative risk (1, 1.5, 2 or 4), moved
+    by a fixed offset of -1 to 2, so no random draw is involved."""
+    p = 0.25
+    shifts = [0.2 + 0.2 * z for z in np.linspace(-1.5, 1.5, 8)]
+    shifts += [math.log(rr) for rr in (1.0, 1.5, 2.0, 4.0) * 2]
+    rows = []
+    for i, shift in enumerate(shifts):
+        oid = f"nc-{i}" if i < 8 else f"o-{i - 8}"
+        q = 1.0 / (1.0 + (1.0 - p) / p * math.exp(-shift))
+        for t in (1, 2, 3):
+            total = 60 * t + (i * t) % 5
+            observed = int(np.rint(total * q)) + (5 * i + 3 * t) % 4 - 1
+            rows.append({"outcome_id": oid, "look": t, "cumulative_observed": observed,
+                         "cumulative_total": total})
+    paths = [directory / name for name in ("sched.csv", "looks.csv", "controls.csv")]
+    write_schedule_file(paths[0], LookSchedule((60.0,) * 3, alpha=0.05, model="binomial",
+                                               exposure_proportion=p))
+    write_looks_file(paths[1], rows)
+    write_controls_file(paths[2], [f"nc-{i}" for i in range(8)])
+    return paths
+
+
+def first_signal_looks(rows):
+    """Per (outcome, mode), the first look that signals, or None."""
+    first = {}
+    for r in sorted(rows, key=lambda r: (r["outcome_id"], r["look"])):
+        for column in (c for c in r if c.startswith("signal_")):
+            key = (r["outcome_id"], column)
+            first.setdefault(key, None)
+            if r[column] and first[key] is None:
+                first[key] = r["look"]
+    return first
+
+
+def test_run_matches_its_committed_results(tmp_path):
+    # the expected table is this fixture's results.csv as written before the exact
+    # cvs' mixture weights and recursion were rewritten for speed
+    out = tmp_path / "results.csv"
+    argv = ["run", *map(str, write_regression_inputs(tmp_path)), "--out", str(out),
+            "--summary", str(tmp_path / "type1.csv")]
+    assert main(argv) == 0
+    got = read_output(out, fileio.read_results_table)
+    expected = read_output(REGRESSION_RESULTS, fileio.read_results_table)
+    assert first_signal_looks(got) == first_signal_looks(expected)
+    assert any(v is not None for v in first_signal_looks(expected).values())
+    assert len(got) == len(expected) == 48
+    numeric = ("beta_hat", "se", "llr", "p_uncalibrated", "p_calibrated", "cv", "cv_calibrated")
+    for g, e in zip(got, expected):
+        # numpy's log and exp may round differently on another CPU
+        assert {k: v for k, v in g.items() if k not in numeric} == {
+            k: v for k, v in e.items() if k not in numeric
+        }
+        for k in numeric:
+            assert (g[k] is None) == (e[k] is None), (g["outcome_id"], g["look"], k)
+            if e[k] is not None:
+                assert abs(g[k] - e[k]) <= 1e-12 * abs(e[k]), (g["outcome_id"], g["look"], k)
+
+
 class TestSimulate:
     def test_list_prints_twelve_names(self, capsys):
         assert main(["simulate", "--list"]) == 0

@@ -203,6 +203,44 @@ def fresh_log_factorials(monkeypatch):
     monkeypatch.setattr(maxsprt, "_log_factorials", np.zeros(0))
 
 
+# the cv design of the run-loo benchmark fixture: 4 looks of 393 trials
+RUN_LOO_SCHEDULE = LookSchedule(
+    (392.7,) * 4, alpha=0.05, model="binomial", exposure_proportion=0.11522633744855967
+)
+
+
+def exact_log_ratio(schedule, model, x, z):
+    """Log likelihood ratio of final count x under innovation z against z = 0, and the
+    sum of the sizes of its two terms, by 40-digit decimal arithmetic from the schedule
+    and the model: s z x - rate (e^(s z) - 1) for Poisson, s z x - n (log(1 + e^(a + s z))
+    - log(1 + e^a)) for binomial, a the log odds of the mean-shifted null proportion."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        u = Decimal(model.sd) * Decimal(z)
+        lead = u * Decimal(x)
+        if schedule.model == "poisson":
+            rate = sum(map(Decimal, schedule.expected_increments)) * Decimal(model.mean).exp()
+            other = rate * (u.exp() - 1)
+        else:
+            p = Decimal(schedule.exposure_proportion)
+            a = (p / (1 - p)).ln() + Decimal(model.mean)
+            n = int(schedule.binomial_trials().sum())
+            other = n * ((1 + (a + u).exp()).ln() - (1 + a.exp()).ln())
+        return float(lead - other), float(abs(lead) + abs(other))
+
+
+def worst_log_ratio_error(schedule, model, x, z):
+    """Largest error of _log_ratio at counts x and innovations z (broadcast) against the
+    decimal oracle, relative to the size of the ratio's terms."""
+    got = maxsprt._NullRecursion(schedule, model)._log_ratio(x, z)
+    x, z = np.broadcast_arrays(x, z)
+    worst = 0.0
+    for value, xi, zi in zip(got.ravel().tolist(), x.ravel().tolist(), z.ravel().tolist()):
+        exact, size = exact_log_ratio(schedule, model, xi, zi)
+        worst = max(worst, abs(value - exact) / size)
+    return worst
+
+
 class TestPmfs:
     """The recursion's pmfs against exact ones, over every count it computes:
     those within the Bernstein bounds at probability 1e-24."""
@@ -438,11 +476,12 @@ class TestComputeCalibratedCv:
         assert abs(rate - result.attained_alpha) <= 3.0 * sigma
 
     def test_node_doubling_changes_no_desk_cv(self, monkeypatch):
+        # the desk designs and run-loo's
         schedules = [
             scenario_schedule(s)
             for s in paper_scenarios(repeats=1)
             if s.error_mean == 0.0 and s.error_sd == 0.0
-        ]
+        ] + [RUN_LOO_SCHEDULE]
         models = (ErrorModel(0.0, 0.2), ErrorModel(0.2, 0.2))
         base = [compute_calibrated_cv(s, m) for s in schedules for m in models]
         doubled_rule = np.polynomial.hermite.hermgauss(2 * maxsprt.GH_POINTS)
@@ -451,7 +490,7 @@ class TestComputeCalibratedCv:
         monkeypatch.setattr(maxsprt, "_GH_LOGW", np.log(doubled_rule[1]))
         monkeypatch.setattr(maxsprt, "_GH_X2", doubled_rule[0] ** 2)
         doubled = [compute_calibrated_cv(s, m) for s in schedules for m in models]
-        assert len(base) == 8
+        assert len(base) == 10
         for a, b in zip(base, doubled):
             assert a.cv == b.cv
             assert abs(a.attained_alpha - b.attained_alpha) <= 1e-12
@@ -467,6 +506,43 @@ class TestComputeCalibratedCv:
         rows = compute_calibrated_cv(schedule, model)
         assert rows.cv == one_row.cv
         assert abs(rows.attained_alpha - one_row.attained_alpha) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "schedule, model, max_log_weight",
+        [
+            (RUN_LOO_SCHEDULE, ErrorModel(0.24, 0.17), maxsprt._MAX_LOG_WEIGHT),
+            # a lower cap on the log weight forces several base rows
+            (LookSchedule((20.0,) * 4, alpha=0.05), ErrorModel(0.2, 0.3), 3.0),
+        ],
+    )
+    def test_reused_prefixes_change_no_exceedance(self, monkeypatch, schedule, model, max_log_weight):
+        monkeypatch.setattr(maxsprt, "_MAX_LOG_WEIGHT", max_log_weight)
+        null = maxsprt._NullRecursion(schedule, model)
+        assert max_log_weight > 3.0 or null.rows.size > 1
+        size = null.size
+        values = [float(c) for c in schedule._boundary.candidates(0.0, 8.0)]
+        mid = len(values) // 2
+        before = [values[mid], values[mid + 1], values[-1], values[3], values[mid]]
+        # one past the table: its last look's limit grows the table between calls
+        beyond = float(schedule._boundary.llr(schedule.n_looks - 1, np.array([size + 10]))[0])
+        sequence = before + [beyond, values[mid + 1], values[mid], values[-1]]
+        convolutions = []
+        convolve = np.convolve
+        monkeypatch.setattr(np, "convolve", lambda *a: convolutions.append(1) or convolve(*a))
+        reused = [null.exceedance(c) for c in sequence]
+        assert null.size > size
+        prefixed = len(convolutions)
+        # each call on a fresh recursion, while the table has not grown ...
+        assert reused[: len(before)] == [
+            maxsprt._NullRecursion(schedule, model).exceedance(c) for c in before
+        ]
+        # ... and on one that grows alike but keeps no state from call to call
+        plain = maxsprt._NullRecursion(schedule, model)
+        del convolutions[prefixed:]
+        for c, value in zip(sequence, reused):
+            plain._chains.clear()
+            assert plain.exceedance(c) == value  # bit for bit
+        assert prefixed < len(convolutions) - prefixed  # the prefixes were reused
 
     @pytest.mark.parametrize(
         "schedule, model",
@@ -492,6 +568,47 @@ class TestComputeCalibratedCv:
         more = compute_calibrated_cv(schedule, model)
         assert more.cv == result.cv
         assert abs(more.attained_alpha - reference) <= 1e-11 * reference
+
+
+LOG_RATIO_SCHEDULES = {
+    "run-loo": RUN_LOO_SCHEDULE,
+    "run-loo-poisson": LookSchedule((392.7 * 0.11522633744855967,) * 4, alpha=0.05),
+    **{
+        s.design: scenario_schedule(s)
+        for s in paper_scenarios(repeats=1)
+        if s.sample_size == max(t.sample_size for t in paper_scenarios(repeats=1) if t.design == s.design)
+        and s.error_mean == 0.0 and s.error_sd == 0.0
+    },
+}
+
+
+class TestLogRatio:
+    @pytest.mark.parametrize("model", [ErrorModel(0.24, 0.17), ErrorModel(0.2, 1.0)])
+    @pytest.mark.parametrize("name", sorted(LOG_RATIO_SCHEDULES))
+    def test_matches_decimal_oracle_at_the_quadrature_nodes(self, name, model):
+        # every fifth count of the weight table, at each count's 32 nodes
+        schedule = LOG_RATIO_SCHEDULES[name]
+        null = maxsprt._NullRecursion(schedule, model)
+        x = np.arange(0.0, null.size, 5.0)
+        mode, _ = null._log_weight(x)
+        scale = 1.0 / np.sqrt(1.0 - null._log_ratio_derivatives(x, mode)[1])
+        z = mode + math.sqrt(2.0) * scale * maxsprt._GH_X[:, None]
+        # twice the worst error measured over these designs and models: binomial
+        # log1p(q0 expm1(s z)) 5.6e-16 (the logaddexp form read 5.2e-13), Poisson
+        # rate * exp(s z) - rate 9.8e-13
+        bound = 1.96e-12 if schedule.model == "poisson" else 1.12e-15
+        assert worst_log_ratio_error(schedule, model, x, z) <= bound
+
+    def test_binomial_ratio_past_expm1_overflow(self):
+        # at sd 20 the innovations reach s z = 900, where expm1(s z) overflows
+        model = ErrorModel(0.0, 20.0)
+        x = np.array([0.0, 181.0, 1000.0, 1572.0])
+        z = np.linspace(-45.0, 45.0, 30)[:, None]
+        assert worst_log_ratio_error(RUN_LOO_SCHEDULE, model, x, z) <= 1.12e-15
+        # the bias is so wide that only the largest attainable LLR is a cv
+        boundary = RUN_LOO_SCHEDULE._boundary
+        largest = max(boundary.llr(t, np.arange(n + 1)).max() for t, n in enumerate(boundary.cumulative))
+        assert compute_calibrated_cv(RUN_LOO_SCHEDULE, model).cv == largest
 
 
 def assert_matches_sampled_rate(schedule, result, model=None, n=20_000, seed=5):
