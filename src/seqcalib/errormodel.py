@@ -147,9 +147,9 @@ def _prepare(profiles: Sequence[LikelihoodProfile]) -> _Prepared:
 
 
 def _take(prep: _Prepared, rows: np.ndarray, split: tuple[int, ...]) -> _Prepared:
-    """prep's rows `rows` (ascending indices): one fold for a vector, or for a matrix a
-    fold group, one fold per matrix row. Each fold's normal, grid and Poisson rows end
-    at split[0], split[1] and split[2]."""
+    """A fold group: prep's rows `rows`, a matrix of ascending indices with one fold per
+    matrix row. Each fold's normal, grid and Poisson rows end at split[0], split[1] and
+    split[2]."""
     a, b, c = split[:3]
     normal, other = rows[..., :a], rows[..., a:] - prep.norm_beta.size
     g, grids = len(prep.grid_x), other[..., : b - a]
@@ -414,7 +414,8 @@ def _lockstep(runs: dict, evaluate) -> dict:
 
 
 def minimize(fun, x0: tuple[float, float]) -> NewtonRun:
-    """Minimize fun, which returns (value, gradient, Hessian) at a point, by _newton's run."""
+    """Minimize fun, which returns (value, gradient, Hessian) at a point, by _newton's run.
+    No error-model fit calls it: _fit_folds advances every fit's runs in one lockstep."""
     return _lockstep({0: _newton(x0)}, lambda points: {0: fun(points[0])})[0]
 
 
@@ -519,8 +520,8 @@ def _fit_folds(
     dropped; None where a fold has fewer than 2 rows or no finite optimum.
 
     The folds' Newton runs, then their sd = 0 searches, go in lockstep: each round
-    evaluates the points of the folds that split alike into kinds in one call. A lone
-    fold's Newton run goes through minimize.
+    evaluates the points of the folds that split alike into kinds in one call, on their
+    fold group (_take); a lone fold is a fold group of one.
     """
     # where each fold's normal, grid and Poisson rows end, and its size: folds alike in
     # these have rows of the same kinds in the same places, and are evaluated together
@@ -531,12 +532,9 @@ def _fit_folds(
     groups: dict[tuple, _Prepared] = {}
     plans: dict[tuple, list] = {}
 
-    def group(folds):  # the rows of folds that split alike; a lone fold's without a fold axis
+    def group(folds):  # the rows of folds that split alike, one fold per matrix row
         if folds not in groups:
-            rows = np.array([kept[i] for i in folds])
-            groups[folds] = (_take(prep, rows, split[folds[0]]) if len(folds) > 1
-                             else prep if rows.size == prep.n_profiles
-                             else _take(prep, rows[0], split[folds[0]]))
+            groups[folds] = _take(prep, np.array([kept[i] for i in folds]), split[folds[0]])
         return groups[folds]
 
     def lockstep(runs, objective):
@@ -546,17 +544,14 @@ def _fit_folds(
                                  for key in dict.fromkeys(split[i] for i in active)]
             results = {}
             for folds in plans[active]:
-                # a lone fold is evaluated on floats, which costs less
-                x = np.array([points[i] for i in folds]).T if len(folds) > 1 else points[folds[0]]
+                x = np.array([points[i] for i in folds]).T
                 results.update(zip(folds, objective(x, group(folds))))
             return results
 
         return _lockstep(runs, evaluate)
 
-    def per_fold(*columns):  # each fold's floats, from columns of one value or one per fold
-        if not isinstance(columns[0], np.ndarray):  # a lone fold's scalars
-            return [[float(c) for c in columns]]
-        return np.array(columns).reshape(len(columns), -1).T.tolist()
+    def per_fold(*columns):  # each fold's floats, from columns of one value per fold
+        return np.array(columns).T.tolist()
 
     def negative_objective(x, part):  # for _newton, which minimizes
         value, (g_mu, g_sd), ((h_mm, h_ms), (_, h_ss)) = _evaluate(x[0], x[1], part)
@@ -565,10 +560,7 @@ def _fit_folds(
 
     starts = {i: (float(np.mean(mles[i])), float(np.std(mles[i], ddof=1)))
               for i, rows in enumerate(kept) if rows.size >= 2}
-    if len(starts) == len(kept) == 1:  # a lone fit runs through minimize, the one-run driver
-        runs = {0: minimize(lambda x: negative_objective(x, group((0,)))[0], starts[0])}
-    else:
-        runs = lockstep({i: _newton(x0) for i, x0 in starts.items()}, negative_objective)
+    runs = lockstep({i: _newton(x0) for i, x0 in starts.items()}, negative_objective)
     runs = {i: run for i, run in runs.items() if math.isfinite(run.fun)}
     zeros = lockstep({i: _zero_sd_mean(float(mles[i].min()), float(mles[i].max()), run.x[0])
                       for i, run in runs.items()},

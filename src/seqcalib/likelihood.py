@@ -207,7 +207,7 @@ def tilted_proportion(p: float, log_odds_shift):
 
 def _logistic(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)) elementwise, with z clipped to [-500, 500] so that exp cannot overflow."""
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
 
 
 def count_log_likelihood(beta, observed, null_value, offset, total=None):

@@ -53,7 +53,7 @@ from typing import Iterator
 import numpy as np
 
 from .errormodel import ErrorModel
-from .likelihood import binomial_llr, poisson_llr, tilted_proportion
+from .likelihood import _logistic, binomial_llr, poisson_llr, tilted_proportion
 
 __all__ = [
     "CriticalValueError",
@@ -314,7 +314,6 @@ class _NullRecursion:
             self.q0 = tilted_proportion(p, self.mean)
             self.cap = int(self.cumulative[-1]) + 1
             null_mean = self.cumulative * p
-        self._modes = self._log_weights = np.zeros(0)
         self._resize(min(2 * int(null_mean[-1]) + 16, self.cap, _MAX_COUNTS))
 
     def _log_ratio(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -339,8 +338,7 @@ class _NullRecursion:
         if self.poisson:
             rate = self.rate * np.exp(s * z)
             return s * (x - rate), -s * s * rate
-        # likelihood._logistic of log_odds + s z, clipped without np.clip's slower wrapper
-        q = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(self.log_odds + s * z, -500.0), 500.0)))
+        q = _logistic(self.log_odds + s * z)
         exposed = self.cumulative[-1] * q
         return s * (x - exposed), -s * s * (exposed * (1.0 - q))
 
@@ -394,11 +392,8 @@ class _NullRecursion:
         """
         if self.sd == 0:
             return np.zeros(1), np.zeros(x.size, dtype=np.intp), np.ones(x.size)
-        # counts from an earlier, smaller table keep their modes and log weights
-        new = range(self._modes.size, x.size, 4096)
-        chunks = [self._log_weight(x[i : i + 4096]) for i in new]
-        mode = self._modes = np.concatenate([self._modes, *(m for m, _ in chunks)])
-        log_weight = self._log_weights = np.concatenate([self._log_weights, *(w for _, w in chunks)])
+        chunks = [self._log_weight(x[i : i + 4096]) for i in range(0, x.size, 4096)]
+        mode, log_weight = (np.concatenate(column) for column in zip(*chunks))
         kept = log_weight - self._log_ratio(x, mode) >= _LOG_DROP
         if not kept.any():  # the table ends below every count that matters
             return np.zeros(1), np.zeros(x.size, dtype=np.intp), np.zeros(x.size)
@@ -517,7 +512,10 @@ class _NullRecursion:
 
     def crossing(self, limits: list) -> float:
         """Null probability that the cumulative count reaches its look's limit at some look."""
-        return max(0.0, 1.0 - sum(float(f @ weight) for _, f, weight in self._survivors(limits)))
+        survived = 0.0  # rows added in order: from Python 3.12, sum() of floats is compensated
+        for _, f, weight in self._survivors(limits):
+            survived += float(f @ weight)
+        return max(0.0, 1.0 - survived)
 
     def exceedance(self, c: float) -> float:
         """Null probability that the LLR exceeds c at some look."""

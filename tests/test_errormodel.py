@@ -786,6 +786,23 @@ class TestFitErrorModels:
         with pytest.raises(FitError):
             fit_error_model(failing)
 
+    def test_no_fit_runs_through_minimize(self, monkeypatch):
+        # every fit, a lone one too, advances through _fit_folds' lockstep
+        sets = self.profile_sets()
+
+        def fits():
+            return ([fit_error_model(profiles) for profiles in sets],
+                    [fit_error_models([profiles]) for profiles in sets],
+                    leave_one_out_models(sets[5]))
+
+        expected = fits()
+
+        def refused(fun, x0):
+            raise AssertionError("a fit called minimize")
+
+        monkeypatch.setattr(errormodel, "minimize", refused)
+        assert fits() == expected
+
     def test_uninformative_counts_raise(self):
         sets = self.profile_sets()[:2] + [[PoissonCounts(8, 10.0), PoissonCounts(0, 5.0)]]
         with pytest.raises(UninformativeProfileError):

@@ -641,6 +641,19 @@ class TestLargeDesigns:
         assert 0.0 < result.attained_alpha <= 0.05
         assert_matches_sampled_rate(schedule, result, model)
 
+    def test_crossing_adds_the_rows_left_to_right(self):
+        # sum() of floats is compensated from Python 3.12: a multi-row model's masses are
+        # added in order, so that its crossing does not depend on the interpreter
+        schedule, model = LookSchedule((300.0,) * 10, alpha=0.05), ErrorModel(0.0, 2.0)
+        limits = schedule._boundary.limits(compute_calibrated_cv(schedule, model).cv).tolist()
+        null = maxsprt._NullRecursion(schedule, model)
+        crossing = null.crossing(limits)
+        assert null.rows.size == 32  # after the table grew to the cv's last limit
+        survived = 0.0
+        for _, f, weight in maxsprt._NullRecursion(schedule, model)._survivors(limits):
+            survived += float(f @ weight)
+        assert crossing == 1.0 - survived
+
     @pytest.mark.parametrize(
         "schedule, model, n_rows",
         [
